@@ -56,9 +56,8 @@ def mttkrp_coo(
 
     Identical — operation for operation — to :func:`mttkrp` on the tensor
     those arrays came from.  Callers that solve several modes against the
-    same tensor state (one ALS sweep, or SNS_MAT's per-event sweep inside
-    ``update_batch``) build the arrays once and amortise the
-    ``SparseTensor.to_coo_arrays`` conversion across modes.
+    same tensor state (one ALS sweep) build the arrays once and amortise
+    the ``SparseTensor.to_coo_arrays`` call across modes.
     """
     if kernels is None:
         kernels = numpy_backend()

@@ -16,8 +16,8 @@ Every algorithm in :mod:`repro.core` follows the same life cycle:
    engine (``ContinuousStreamProcessor.run_batched``).  Here the model owns
    the window mutation and interleaves it with the factor updates, so the
    result is exactly equivalent to the per-event path; the default loops over
-   the batch, and the deterministic variants override it to share per-event
-   setup (hoisted Hadamard-of-Gram inverses, one COO conversion per sweep).
+   the batch, and ``SNSVec``/``SNSVecPlus`` override it to share per-event
+   setup (hoisted Hadamard-of-Gram inverses).
 
 The base class also centralises the bookkeeping helpers shared by several
 variants: rank-one Gram updates (Eq. 13 / Eqs. 24-25), previous-Gram updates
@@ -493,7 +493,7 @@ class ContinuousCPD(abc.ABC):
         is equivalent — bit for bit — to the per-event path (``apply_delta``
         followed by :meth:`update` for every event).  Subclasses override it
         to share per-event setup and vectorise within-event work while
-        keeping that equivalence; see ``SNSMat``/``SNSVec``/``SNSVecPlus``.
+        keeping that equivalence; see ``SNSVec``/``SNSVecPlus``.
         """
         window = self._window
         for delta in batch.deltas:

@@ -10,7 +10,17 @@ choice: the golden-fitness, batched-equivalence, and checkpoint suites
 pin bit-exact outputs, and they stay pinned precisely because selecting
 the numpy backend performs the identical float operations the code
 performed before the registry existed.  Change an operation here only
-together with the goldens.
+together with the goldens, or with a proof that every output bit stays.
+
+One such proven change: ``mttkrp_coo`` scatters with one ``np.bincount``
+over flat ``(row, component)`` cells instead of ``np.add.at``.  Both
+start every cell at 0.0 and add its contributions one at a time in entry
+order, so the sums are the same floats.  Its product is seeded from the
+first gathered factor rows times the values instead of from a copy of
+the broadcast values; ``a * v == v * a`` holds exactly in IEEE
+arithmetic, so every product is unchanged too.
+``tests/kernels/test_mttkrp_coo_oracle.py`` keeps the ``np.add.at``
+version as a bit-exact oracle.
 
 The only structural difference from the historical call sites is how row
 overrides arrive: as the flat ``(modes, indices, rows)`` triple of
@@ -44,16 +54,30 @@ def mttkrp_coo(
 ) -> np.ndarray:
     """MTTKRP over COO arrays — the body of :func:`repro.als.mttkrp.mttkrp_coo`."""
     rank = factors[0].shape[1]
-    result = np.zeros((mode_size, rank), dtype=np.float64)
     if values.size == 0:
-        return result
-    product = np.broadcast_to(values[:, None], (values.size, rank)).copy()
+        return np.zeros((mode_size, rank), dtype=np.float64)
+    product: np.ndarray | None = None
     for other_mode, factor in enumerate(factors):
         if other_mode == mode:
             continue
-        product *= factor[indices[:, other_mode], :]
-    np.add.at(result, indices[:, mode], product)
-    return result
+        rows = factor.take(indices[:, other_mode], axis=0)
+        if product is None:
+            # Seed from the first gathered rows: ``a * v == v * a`` exactly,
+            # so this equals multiplying a broadcast copy of the values.
+            product = rows
+            product *= values[:, None]
+        else:
+            product *= rows
+    if product is None:  # order-1 tensor: no other mode to multiply in
+        product = np.broadcast_to(values[:, None], (values.size, rank))
+    # One bincount over the flat ``(row, component)`` cells.  Like add.at it
+    # starts every cell at 0.0 and adds its contributions one by one in
+    # entry order, so the sums are bit for bit the add.at sums.
+    cells = indices[:, mode, None] * rank + np.arange(rank)
+    scattered = np.bincount(
+        cells.ravel(), weights=product.ravel(), minlength=mode_size * rank
+    )
+    return scattered.reshape(mode_size, rank)
 
 
 def mttkrp_rows(

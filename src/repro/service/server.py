@@ -86,6 +86,10 @@ LOCK_GUARDED_METHODS = frozenset(
     }
 )
 
+#: How long :meth:`StreamingServer.stop` waits for client handlers to
+#: finish after closing their connections.
+CLIENT_CLOSE_TIMEOUT = 5.0
+
 
 class _StreamWorker:
     """Queue + lock + apply-loop + seq-dedup window of one stream."""
@@ -354,6 +358,8 @@ class StreamingServer:
         self.port = port
         self._server: asyncio.AbstractServer | None = None
         self._workers: dict[str, _StreamWorker] = {}
+        # Open client connections: handler task -> its stream writer.
+        self._clients: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._writer = _CheckpointWriter(self)
         self._checkpoint_task: asyncio.Task | None = None
         self._watchdog_task: asyncio.Task | None = None
@@ -433,8 +439,24 @@ class StreamingServer:
             self._hook_installed = False
         if self._server is not None:
             self._server.close()
+        await self._close_clients()
+        if self._server is not None:
             await self._server.wait_closed()
             self._server = None
+
+    async def _close_clients(self) -> None:
+        """Close every open client connection and wait for its handler.
+
+        Closing the transport feeds EOF to a handler blocked in
+        ``readline``, so idle handlers return normally instead of being
+        cancelled by the event loop's teardown, which logs a
+        ``CancelledError`` traceback.
+        """
+        handlers = dict(self._clients)
+        for writer in handlers.values():
+            writer.close()
+        if handlers:
+            await asyncio.wait(list(handlers), timeout=CLIENT_CLOSE_TIMEOUT)
 
     async def _checkpoint_loop(self, interval: float) -> None:
         while True:
@@ -512,6 +534,8 @@ class StreamingServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
+        self._clients[task] = writer
         try:
             while True:
                 try:
@@ -559,6 +583,7 @@ class StreamingServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            self._clients.pop(task, None)
             writer.close()
             # Peer may already be gone; nothing to do about close errors.
             # repro: allow[broad-except] best-effort socket teardown

@@ -15,6 +15,7 @@ by routing every mutation through :meth:`SparseTensor.add` /
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Iterator, Mapping
 import math
 
@@ -56,6 +57,10 @@ class SparseTensor:
         "_squared_norm",
         "_version",
         "_coo_cache",
+        "_slots",
+        "_coo_indices",
+        "_coo_values",
+        "_coo_live",
     )
 
     def __init__(
@@ -89,6 +94,19 @@ class SparseTensor:
         # Mutation counter stamping the COO-array cache below.
         self._version: int = 0
         self._coo_cache: tuple[int, np.ndarray, np.ndarray] | None = None
+        # The COO layout kept up to date by every mutation, so
+        # to_coo_arrays compresses arrays instead of rebuilding them from
+        # Python tuples.  Slots were handed out in _data insertion order:
+        # an insert appends, an update overwrites its slot, and a removal
+        # clears its _coo_live flag (a tombstone).  _slots maps each live
+        # coordinate to its slot; it is insertion-ordered like _data, so
+        # live slots ascend in _data order.  Python arrays keep the
+        # per-mutation writes cheap; numpy views of them are taken only
+        # transiently, because an array exporting its buffer cannot grow.
+        self._slots: dict[Coordinate, int] = {}
+        self._coo_indices = array("q")  # int64, `order` per slot
+        self._coo_values = array("d")
+        self._coo_live = bytearray()
         if entries is not None:
             for coordinate, value in entries.items():
                 self.set(coordinate, float(value))
@@ -208,12 +226,13 @@ class SparseTensor:
         if abs(value) <= DROP_TOLERANCE:
             self._remove(coordinate)
         else:
+            value = float(value)
             old = self._data.get(coordinate)
             if old is None:
-                self._index_add(coordinate)
+                self._insert(coordinate, value)
             else:
                 self._squared_norm -= old * old
-            value = float(value)
+                self._coo_values[self._slots[coordinate]] = value
             self._squared_norm += value * value
             self._data[coordinate] = value
 
@@ -237,9 +256,10 @@ class SparseTensor:
             self._remove(coordinate)
             return 0.0
         if old is None:
-            self._index_add(coordinate)
+            self._insert(coordinate, new_value)
         else:
             self._squared_norm -= old * old
+            self._coo_values[self._slots[coordinate]] = new_value
         self._squared_norm += new_value * new_value
         self._data[coordinate] = new_value
         return new_value
@@ -325,9 +345,10 @@ class SparseTensor:
             else:
                 old = data_get(coordinate)
                 if old is None:
-                    self._index_add(coordinate)
+                    self._insert(coordinate, running)
                 else:
                     self._squared_norm -= old * old
+                    self._coo_values[self._slots[coordinate]] = running
                 self._squared_norm += running * running
                 data[coordinate] = running
 
@@ -337,10 +358,41 @@ class SparseTensor:
             self._squared_norm -= old * old
             del self._data[coordinate]
             self._index_remove(coordinate)
+            self._coo_live[self._slots.pop(coordinate)] = 0
+            live = len(self._slots)
+            if len(self._coo_values) - live > live:
+                # Tombstones outnumber live entries: compact.
+                self._load_coo(*self._compressed_coo())
             if not self._data:
                 # An empty tensor has exactly zero norm; resetting here also
                 # sheds any accumulated float drift at natural zero points.
                 self._squared_norm = 0.0
+
+    def _insert(self, coordinate: Coordinate, value: float) -> None:
+        """Index a new coordinate and append it to the COO buffers."""
+        self._index_add(coordinate)
+        self._slots[coordinate] = len(self._coo_values)
+        self._coo_indices.extend(coordinate)
+        self._coo_values.append(value)
+        self._coo_live.append(1)
+
+    def _compressed_coo(self) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh ``(indices, values)`` copies of the live slots, in order."""
+        count = len(self._coo_values)
+        indices = np.frombuffer(self._coo_indices, dtype=np.int64)
+        indices = indices.reshape(count, self.order)
+        values = np.frombuffer(self._coo_values, dtype=np.float64)
+        if count == len(self._slots):
+            return indices.copy(), values.copy()
+        live = np.frombuffer(self._coo_live, dtype=bool)
+        return indices[live], values[live]
+
+    def _load_coo(self, indices: np.ndarray, values: np.ndarray) -> None:
+        """Copy ``(indices, values)``, in ``_data`` order, into the buffers."""
+        self._coo_indices = array("q", np.asarray(indices, dtype=np.int64).tobytes())
+        self._coo_values = array("d", np.asarray(values, dtype=np.float64).tobytes())
+        self._coo_live = bytearray(b"\x01") * len(self._coo_values)
+        self._slots = dict(zip(self._data, range(len(self._coo_values))))
 
     def _index_add(self, coordinate: Coordinate) -> None:
         for mode, index in enumerate(coordinate):
@@ -486,6 +538,7 @@ class SparseTensor:
             clone._index_add(coordinate)
         clone._squared_norm = self._squared_norm
         clone._version = self._version
+        clone._load_coo(*self._compressed_coo())
         # The cached arrays are read-only by contract, so sharing them with
         # the clone is safe; either tensor's next mutation re-stamps its own.
         clone._coo_cache = self._coo_cache
@@ -533,6 +586,7 @@ class SparseTensor:
                     )
                 data[coordinate] = value
                 tensor._index_add(coordinate)
+            tensor._load_coo(index_array, value_array)
         tensor._version = int(version)
         tensor.recompute_squared_norm()
         return tensor
@@ -557,21 +611,18 @@ class SparseTensor:
         The ordering is the dict insertion order, which is deterministic for a
         deterministic sequence of mutations.
 
-        The arrays are cached and stamped with the tensor's mutation
-        :attr:`version`: as long as the tensor is not mutated, repeated calls
-        (an ALS sweep solving every mode, fitness evaluations between events)
-        return the same array objects without rebuilding them.  Callers must
+        The arrays are compressed copies of the incrementally maintained COO
+        buffers, so they never alias live storage and stay unchanged when the
+        tensor later mutates.  They are cached and stamped with the tensor's
+        mutation :attr:`version`: as long as the tensor is not mutated,
+        repeated calls (an ALS sweep solving every mode, fitness evaluations
+        between events) return the same array objects.  Callers must
         therefore treat the returned arrays as read-only.
         """
         cache = self._coo_cache
         if cache is not None and cache[0] == self._version:
             return cache[1], cache[2]
-        if self.nnz == 0:
-            indices = np.empty((0, self.order), dtype=np.int64)
-            values = np.empty((0,), dtype=np.float64)
-        else:
-            indices = np.array(list(self._data.keys()), dtype=np.int64)
-            values = np.array(list(self._data.values()), dtype=np.float64)
+        indices, values = self._compressed_coo()
         self._coo_cache = (self._version, indices, values)
         return indices, values
 

@@ -105,6 +105,32 @@ class TestMttkrpParity:
         np.testing.assert_allclose(actual, expected, **TOLERANCE)
 
     @settings(max_examples=40, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        rank=st.integers(1, 4),
+        nnz=st.integers(0, 40),
+        pool_size=st.integers(1, 6),
+        extra_rows=st.integers(0, 3),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def test_mttkrp_coo_repeated_coordinates(
+        self, candidate, order, rank, nnz, pool_size, extra_rows, seed
+    ):
+        # Orders 1-4, coordinates drawn from a small pool (so cells repeat)
+        # and output rows that no entry maps to.
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(n) for n in rng.integers(1, 6, size=order))
+        mode = int(rng.integers(0, order))
+        factors = _random_factors(shape, rank, rng)
+        pool = _random_indices(shape, pool_size, rng)
+        indices = pool[rng.integers(0, pool_size, size=nnz)]
+        values = rng.standard_normal(nnz)
+        mode_size = shape[mode] + extra_rows
+        expected = REFERENCE.mttkrp_coo(indices, values, factors, mode, mode_size)
+        actual = candidate.mttkrp_coo(indices, values, factors, mode, mode_size)
+        np.testing.assert_allclose(actual, expected, **TOLERANCE)
+
+    @settings(max_examples=40, deadline=None)
     @given(case=tensor_cases(), nnz=st.integers(0, 25))
     def test_mttkrp_rows(self, candidate, case, nnz):
         shape, rank, mode, rng = case

@@ -7,6 +7,8 @@ stream resumes from its last checkpoint with bit-identical factors.
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,21 @@ class TestOverTcp:
             assert excinfo.value.code == "unknown_stream"
             client.shutdown()
         assert server.wait() == 0
+
+    def test_shutdown_with_idle_connection_exits_cleanly(self, launch):
+        # Another client sits idle in the server's readline while a second
+        # one sends shutdown: stop() must close that connection and let its
+        # handler return, not leave it for the loop teardown to cancel.
+        server = launch()
+        with socket.create_connection(("127.0.0.1", server.port)) as idle:
+            with server.client() as client:
+                assert client.ping()["pong"]
+                client.shutdown()
+            assert server.wait() == 0
+            assert idle.recv(1) == b""  # the server closed it
+        output = server.process.stdout.read()
+        assert "Traceback" not in output
+        assert "CancelledError" not in output
 
     def test_graceful_restart_resumes_bit_exactly(self, launch, tmp_path):
         root = str(tmp_path / "state")

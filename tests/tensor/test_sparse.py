@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import IndexOutOfBoundsError, ShapeError
 from repro.tensor.sparse import DROP_TOLERANCE, SparseTensor
@@ -386,6 +387,130 @@ class TestCooCache:
         assert fresh_indices is not indices
         # The original is unaffected by the clone's mutation.
         assert tensor.to_coo_arrays()[0] is indices
+
+
+PROPERTY_SHAPE = (4, 4, 3)
+
+_coordinates = st.tuples(*(st.integers(0, n - 1) for n in PROPERTY_SHAPE))
+_values = st.sampled_from([0.0, 1.0, -2.5, 0.125, 3.0, DROP_TOLERANCE / 2])
+_operations = st.one_of(
+    st.tuples(st.just("set"), _coordinates, _values),
+    st.tuples(st.just("add"), _coordinates, _values),
+    st.tuples(st.just("cancel"), _coordinates),
+    st.tuples(
+        st.just("add_batch"),
+        st.lists(st.tuples(_coordinates, _values), max_size=24),
+    ),
+    st.tuples(st.just("cancel_many"), st.integers(1, 30)),
+    st.tuples(st.just("fill"), st.integers(0, 47), st.integers(1, 48)),
+    st.tuples(st.just("copy")),
+    st.tuples(st.just("from_coo")),
+)
+
+
+def _assert_coo_matches_storage(tensor: SparseTensor) -> None:
+    """``to_coo_arrays`` equals a rebuild from the dict, bit for bit."""
+    expected_indices = np.array(list(tensor.coordinates()), dtype=np.int64)
+    expected_indices = expected_indices.reshape(tensor.nnz, tensor.order)
+    expected_values = np.array(
+        [value for _, value in tensor.items()], dtype=np.float64
+    )
+    indices, values = tensor.to_coo_arrays()
+    assert indices.dtype == np.int64 and values.dtype == np.float64
+    assert indices.shape == expected_indices.shape
+    assert values.shape == expected_values.shape
+    assert indices.tobytes() == expected_indices.tobytes()
+    assert values.tobytes() == expected_values.tobytes()
+
+
+class TestIncrementalCoo:
+    """The incrementally maintained COO layout under random mutation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(operations=st.lists(_operations, min_size=1, max_size=40))
+    def test_matches_dict_rebuild_after_every_step(self, operations):
+        tensor = SparseTensor(PROPERTY_SHAPE)
+        held: list[tuple[np.ndarray, bytes, np.ndarray, bytes]] = []
+        for operation in operations:
+            kind = operation[0]
+            if kind == "set":
+                tensor.set(operation[1], operation[2])
+            elif kind == "add":
+                tensor.add(operation[1], operation[2])
+            elif kind == "cancel":  # drop to zero through add
+                tensor.add(operation[1], -tensor.get(operation[1]))
+            elif kind == "add_batch":
+                pairs = operation[1]
+                tensor.add_batch([c for c, _ in pairs], [v for _, v in pairs])
+            elif kind == "cancel_many":
+                victims = list(tensor.coordinates())[: operation[1]]
+                tensor.add_batch(victims, [-tensor.get(c) for c in victims])
+            elif kind == "fill":  # many inserts: grows the buffers
+                start, count = operation[1], operation[2]
+                for position in range(start, start + count):
+                    cell = np.unravel_index(position % 48, PROPERTY_SHAPE)
+                    tensor.add(tuple(int(i) for i in cell), position + 0.5)
+            elif kind == "copy":
+                tensor = tensor.copy()
+            else:
+                tensor = SparseTensor.from_coo(
+                    PROPERTY_SHAPE, *tensor.to_coo_arrays(), version=tensor.version
+                )
+            _assert_coo_matches_storage(tensor)
+            # Tombstones never outnumber the live entries.
+            assert len(tensor._coo_values) - tensor.nnz <= tensor.nnz
+            # Arrays handed out earlier never change under later mutations.
+            for indices, index_bytes, values, value_bytes in held:
+                assert indices.tobytes() == index_bytes
+                assert values.tobytes() == value_bytes
+            indices, values = tensor.to_coo_arrays()
+            held.append((indices, indices.tobytes(), values, values.tobytes()))
+
+    def test_growth_and_compaction_keep_insertion_order(self):
+        tensor = SparseTensor(PROPERTY_SHAPE)
+        cells = [
+            (i, j, k)
+            for i in range(PROPERTY_SHAPE[0])
+            for j in range(PROPERTY_SHAPE[1])
+            for k in range(PROPERTY_SHAPE[2])
+        ]
+        for position, cell in enumerate(cells):  # grows past several capacities
+            tensor.set(cell, float(position + 1))
+        _assert_coo_matches_storage(tensor)
+        before = tensor.to_coo_arrays()
+        snapshot = (before[0].copy(), before[1].copy())
+        # Remove three entries in four, then re-insert a removed one (it
+        # moves to the end) and update a surviving one in place.
+        for position, cell in enumerate(cells):
+            if position % 4 != 3:
+                tensor.set(cell, 0.0)
+                _assert_coo_matches_storage(tensor)
+        assert len(tensor._coo_values) < len(cells)  # compaction ran
+        tensor.set(cells[0], -1.0)
+        tensor.add(cells[3], 0.5)
+        _assert_coo_matches_storage(tensor)
+        indices, values = tensor.to_coo_arrays()
+        assert tuple(indices[-1]) == cells[0] and values[-1] == -1.0
+        assert tuple(indices[0]) == cells[3] and values[0] == 4.5
+        assert np.array_equal(before[0], snapshot[0])
+        assert np.array_equal(before[1], snapshot[1])
+
+    def test_emptied_tensor_resets_layout(self):
+        tensor = SparseTensor((3, 3), entries={(0, 0): 1.0, (1, 2): 2.0})
+        tensor.set((0, 0), 0.0)
+        tensor.add((1, 2), -2.0)
+        assert len(tensor._coo_values) == 0
+        _assert_coo_matches_storage(tensor)
+        tensor.set((2, 2), 5.0)
+        _assert_coo_matches_storage(tensor)
+
+    def test_from_coo_does_not_alias_its_inputs(self):
+        indices = np.array([[0, 1], [2, 0]], dtype=np.int64)
+        values = np.array([1.5, -2.0])
+        tensor = SparseTensor.from_coo((3, 3), indices, values)
+        tensor.set((0, 1), 9.0)
+        assert values.tolist() == [1.5, -2.0]
+        assert tensor.to_coo_arrays()[1].tolist() == [9.0, -2.0]
 
 
 class TestFromCoo:

@@ -16,8 +16,8 @@ Every algorithm in :mod:`repro.core` follows the same life cycle:
    engine (``ContinuousStreamProcessor.run_batched``).  Here the model owns
    the window mutation and interleaves it with the factor updates, so the
    result is exactly equivalent to the per-event path; the default loops over
-   the batch, and ``SNSVec``/``SNSVecPlus`` override it to share per-event
-   setup (hoisted Hadamard-of-Gram inverses).
+   the batch event by event, and the randomised variants override it to
+   walk the batch's raw entry groups.
 
 The base class also centralises the bookkeeping helpers shared by several
 variants: rank-one Gram updates (Eq. 13 / Eqs. 24-25), previous-Gram updates
@@ -491,9 +491,10 @@ class ContinuousCPD(abc.ABC):
 
         The default implementation replays the batch event by event, which
         is equivalent — bit for bit — to the per-event path (``apply_delta``
-        followed by :meth:`update` for every event).  Subclasses override it
-        to share per-event setup and vectorise within-event work while
-        keeping that equivalence; see ``SNSVec``/``SNSVecPlus``.
+        followed by :meth:`update` for every event).  Per-event setup shared
+        between an event's rows lives in ``_update`` itself, so both paths
+        share it; ``RandomizedCPD`` overrides this only to consume raw entry
+        groups instead of ``Delta`` objects.
         """
         window = self._window
         for delta in batch.deltas:

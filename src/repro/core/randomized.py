@@ -122,10 +122,7 @@ class RandomizedCPD(ContinuousCPD):
         # Line 1 of Algorithm 3: snapshot the Grams at the start of the event.
         for buffer, gram in zip(self._prev_grams, self._grams):
             np.copyto(buffer, gram)
-        # hoist=False: the sequential path is the per-event reference and,
-        # as everywhere else in the family (see SNSVec), does not share
-        # per-event matrices between rows — that is the engine's job.
-        self._process_event(delta.entries, delta.categorical_indices, hoist=False)
+        self._process_event(delta.entries, delta.categorical_indices)
 
     def _update_batch_exact(self, batch: DeltaBatch) -> None:
         """Exact batched path, exactly equivalent to the per-event path.
@@ -134,7 +131,7 @@ class RandomizedCPD(ContinuousCPD):
         (:meth:`DeltaBatch.entry_groups`) — no ``WindowEvent`` / ``Delta``
         objects are materialised — and the window mutation is interleaved per
         event so every update rule observes the window as of *its* event.
-        All remaining hoisting lives in :meth:`_process_event` and is shared
+        All per-event hoisting lives in :meth:`_process_event` and is shared
         with the per-event path, so batched and sequential execution perform
         identical float operations.
         """
@@ -146,25 +143,22 @@ class RandomizedCPD(ContinuousCPD):
             window.apply_entry_changes(entries, trusted=trusted)
             for buffer, gram in zip(prev_grams, grams):
                 np.copyto(buffer, gram)
-            self._process_event(entries, record.indices, hoist=True)
+            self._process_event(entries, record.indices)
             self._n_updates += 1
 
     def _process_event(
         self,
         entries: Entries,
         categorical_indices: tuple[int, ...],
-        hoist: bool,
     ) -> None:
         """Update every row affected by one event (lines 2-4 of Algorithm 3).
 
         Shared per-event setup: the affected-row list (time rows first, as
         in ``_affected_rows``), the start-of-event row snapshots, the
-        exclusion set (the event's coordinates), and the per-row degrees.
-        With ``hoist=True`` (the batched engine) the time-mode matrices are
-        additionally computed once and shared by the (up to two) time rows
-        of the event — work that provably cannot change between those rows,
-        so sharing changes no results; the sequential path keeps the
-        family's per-row reference behaviour.
+        exclusion set (the event's coordinates), the per-row degrees, and
+        the time-mode matrices, computed once and shared by the (up to two)
+        time rows of the event — work that provably cannot change between
+        those rows, so sharing changes no results.
         """
         factors = self._factors
         tensor = self.window.tensor
@@ -187,7 +181,7 @@ class RandomizedCPD(ContinuousCPD):
         # Time-mode matrices shared by the (up to two) time rows of this
         # event; time rows come first in `affected`, so the cache is never
         # read after a categorical update invalidated it.
-        time_shared: dict[str, np.ndarray] | None = {} if hoist else None
+        time_shared: dict[str, np.ndarray] = {}
         # Rows already updated this event, bucketed by mode.  The X̃
         # reconstruction must use start-of-event rows, but the live factors
         # only differ from those on rows updated *earlier in this event* —

@@ -15,7 +15,7 @@ import numpy as np
 from repro.als.mttkrp import mttkrp_row
 from repro.core.base import ContinuousCPD
 from repro.core.rowmath import clipped_coordinate_descent
-from repro.stream.deltas import Delta, DeltaBatch
+from repro.stream.deltas import Delta
 
 
 class SNSVecPlus(ContinuousCPD):
@@ -28,30 +28,17 @@ class SNSVecPlus(ContinuousCPD):
     # Algorithm 3 outline
     # ------------------------------------------------------------------
     def _update(self, delta: Delta) -> None:
-        for mode, index in self._affected_rows(delta):
-            self._update_row(mode, index, delta)
-
-    def _update_batch_exact(self, batch: DeltaBatch) -> None:
-        """Exact batched path, exactly equivalent to the per-event path.
-
-        As in :meth:`SNSVec._update_batch_exact`, the Hadamard-of-Grams
-        matrix of the time mode is unchanged by time-row updates, so one
-        matrix per event serves both time rows of a shift instead of being
-        rebuilt per row.  No values change.
-        """
-        window = self.window
+        # Time-row updates leave the time mode's Hadamard of Grams unchanged,
+        # so one matrix per event serves both time rows of a shift.
         time_mode = self.time_mode
-        for delta in batch.deltas:
-            window.apply_delta(delta)
-            time_hadamard: np.ndarray | None = None
-            for mode, index in self._affected_rows(delta):
-                if mode == time_mode:
-                    if time_hadamard is None:
-                        time_hadamard = self._hadamard_of_grams(mode)
-                    self._update_row(mode, index, delta, hadamard=time_hadamard)
-                else:
-                    self._update_row(mode, index, delta)
-            self._n_updates += 1
+        time_hadamard: np.ndarray | None = None
+        for mode, index in self._affected_rows(delta):
+            if mode == time_mode:
+                if time_hadamard is None:
+                    time_hadamard = self._hadamard_of_grams(mode)
+                self._update_row(mode, index, delta, hadamard=time_hadamard)
+            else:
+                self._update_row(mode, index, delta)
 
     # ------------------------------------------------------------------
     # updateRowVec+ (Algorithm 5)

@@ -52,6 +52,10 @@ Contracts
   inputs, and must be deterministic: same inputs, same bits, every call.
 * ``factors`` arrives as a sequence of ``(N_m, R)`` float64 matrices;
   backends must not mutate any input.
+* No kernel returns a view of an internal buffer.  A backend may keep
+  scratch between calls (the numpy reference keeps per-thread buffers,
+  see :mod:`repro.kernels.scratch`), but every result is a fresh array
+  that a later call, on any thread, leaves unchanged.
 """
 
 from __future__ import annotations

@@ -22,6 +22,22 @@ arithmetic, so every product is unchanged too.
 ``tests/kernels/test_mttkrp_coo_oracle.py`` keeps the ``np.add.at``
 version as a bit-exact oracle.
 
+``mttkrp_coo`` also works in reused scratch instead of fresh ``nnz x R``
+temporaries (:mod:`repro.kernels.scratch`): the factor gathers, the
+product and the flat-cell index array.  The contract:
+
+* the buffers are thread-local, so concurrent calls on different threads
+  never share one;
+* no kernel returns a view of them — ``np.bincount`` hands back a fresh
+  array;
+* gathers use ``np.take(..., out=buffer, mode="wrap")`` after one range
+  check per gathered column (:func:`repro.kernels.scratch.take_rows`),
+  which raises ``IndexError`` for exactly the indices fancy indexing
+  rejects (outside ``[-n, n)``), so ``wrap`` never wraps a bad index.
+
+The float operations and their order (``(a * v) * b``) are unchanged, so
+the output is bit for bit the same as with fresh temporaries.
+
 The only structural difference from the historical call sites is how row
 overrides arrive: as the flat ``(modes, indices, rows)`` triple of
 :func:`repro.kernels.api.flatten_mode_overrides` instead of per-mode dict
@@ -37,6 +53,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.kernels.api import KernelBackend
+from repro.kernels.scratch import scratch, take_rows
 
 try:  # Same optional-scipy guard as repro.core.randomized: dposv skips
     # numpy.linalg's per-call machinery for the small R x R systems.
@@ -54,26 +71,27 @@ def mttkrp_coo(
 ) -> np.ndarray:
     """MTTKRP over COO arrays — the body of :func:`repro.als.mttkrp.mttkrp_coo`."""
     rank = factors[0].shape[1]
-    if values.size == 0:
+    nnz = values.size
+    if nnz == 0:
         return np.zeros((mode_size, rank), dtype=np.float64)
-    product: np.ndarray | None = None
-    for other_mode, factor in enumerate(factors):
-        if other_mode == mode:
-            continue
-        rows = factor.take(indices[:, other_mode], axis=0)
-        if product is None:
-            # Seed from the first gathered rows: ``a * v == v * a`` exactly,
-            # so this equals multiplying a broadcast copy of the values.
-            product = rows
-            product *= values[:, None]
-        else:
-            product *= rows
-    if product is None:  # order-1 tensor: no other mode to multiply in
-        product = np.broadcast_to(values[:, None], (values.size, rank))
+    others = [other for other in range(len(factors)) if other != mode]
+    if not others:  # order-1 tensor: no other mode to multiply in
+        product = np.broadcast_to(values[:, None], (nnz, rank))
+        cells = indices[:, mode, None] * rank + np.arange(rank)
+    else:
+        product, gather, cells = scratch(nnz, rank)
+        # Seed from the first gathered rows: ``a * v == v * a`` exactly, so
+        # this equals multiplying a broadcast copy of the values.
+        first, *rest = others
+        take_rows(factors[first], indices[:, first], product)
+        product *= values[:, None]
+        for other in rest:
+            product *= take_rows(factors[other], indices[:, other], gather)
+        np.multiply(indices[:, mode, None], rank, out=cells)
+        cells += np.arange(rank)
     # One bincount over the flat ``(row, component)`` cells.  Like add.at it
     # starts every cell at 0.0 and adds its contributions one by one in
     # entry order, so the sums are bit for bit the add.at sums.
-    cells = indices[:, mode, None] * rank + np.arange(rank)
     scattered = np.bincount(
         cells.ravel(), weights=product.ravel(), minlength=mode_size * rank
     )
@@ -95,11 +113,16 @@ def mttkrp_rows(
     rank = factors[0].shape[1]
     if values.size == 0:
         return np.zeros(rank, dtype=np.float64)
-    product = np.broadcast_to(values[:, None], (values.size, rank)).copy()
-    for other_mode, factor in enumerate(factors):
-        if other_mode == mode:
-            continue
-        product *= factor[indices[:, other_mode], :]
+    others = [other for other in range(len(factors)) if other != mode]
+    if not others:  # order-1 tensor: no other mode to multiply in
+        product = np.broadcast_to(values[:, None], (values.size, rank)).copy()
+        return product.sum(axis=0)
+    # Seeded like mttkrp_coo: ``a * v == v * a`` exactly.
+    first, *rest = others
+    product = factors[first].take(indices[:, first], axis=0)
+    product *= values[:, None]
+    for other in rest:
+        product *= factors[other].take(indices[:, other], axis=0)
     return product.sum(axis=0)
 
 

@@ -16,6 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.exceptions import RankError, ShapeError
+from repro.kernels.scratch import scratch, take_rows
 from repro.tensor.products import hadamard_all, khatri_rao_all, gram
 from repro.tensor.matricization import kr_order
 from repro.tensor.sparse import SparseTensor
@@ -113,11 +114,13 @@ class KruskalTensor:
             raise ShapeError(
                 f"expected an (n, {self.order}) coordinate array, got {coordinates.shape}"
             )
-        product = np.broadcast_to(
-            self.weights, (coordinates.shape[0], self.rank)
-        ).copy()
+        # Same float operations as a fresh broadcast copy of the weights
+        # times each mode's gathered rows, in this thread's reused scratch
+        # (see repro.kernels.scratch); the sum is a fresh array.
+        product, gather, _cells = scratch(coordinates.shape[0], self.rank)
+        np.copyto(product, self.weights)
         for mode, factor in enumerate(self.factors):
-            product *= factor[coordinates[:, mode], :]
+            product *= take_rows(factor, coordinates[:, mode], gather)
         return product.sum(axis=1)
 
     def to_dense(self) -> np.ndarray:

@@ -431,8 +431,9 @@ class SparseTensor:
         """``(indices, values)`` arrays of the ``Omega(mode)_index`` slice.
 
         Array counterpart of :meth:`mode_slice` — same entries in the same
-        (bucket-insertion) order, built without the per-entry generator hop.
-        ``indices`` has shape ``(deg, order)`` and ``values`` ``(deg,)``.
+        (bucket-insertion) order, gathered by slot from the maintained COO
+        buffers.  ``indices`` has shape ``(deg, order)`` and ``values``
+        ``(deg,)``; both are fresh arrays.
         """
         self._check_mode(mode)
         bucket = self._mode_index[mode].get(int(index))
@@ -441,12 +442,15 @@ class SparseTensor:
                 np.empty((0, self.order), dtype=np.int64),
                 np.empty((0,), dtype=np.float64),
             )
-        coordinates = tuple(bucket)
-        data = self._data
-        indices = np.asarray(coordinates, dtype=np.int64)
-        values = np.fromiter(
-            (data[c] for c in coordinates), dtype=np.float64, count=len(coordinates)
+        slots = np.fromiter(
+            map(self._slots.__getitem__, bucket), dtype=np.intp, count=len(bucket)
         )
+        # The buffer views die with this call: an array exporting its
+        # buffer cannot grow, so none may outlive it.
+        count = len(self._coo_values)
+        indices = np.frombuffer(self._coo_indices, dtype=np.int64)
+        indices = indices.reshape(count, self.order)[slots]
+        values = np.frombuffer(self._coo_values, dtype=np.float64)[slots]
         return indices, values
 
     def degree(self, mode: int, index: int) -> int:

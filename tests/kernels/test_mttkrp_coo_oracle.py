@@ -5,14 +5,19 @@ flat ``(row, component)`` cells.  The golden suites pin its output to the
 bit, so it must equal the historical ``np.add.at`` scatter kept below as
 the oracle: both start every cell at 0.0 and add its contributions one at
 a time in entry order.  The values span many orders of magnitude, so any
-change of summation order shows up in the low bits.
+change of summation order shows up in the low bits.  The kernel also
+works in per-thread scratch buffers, so the oracle must hold across
+calls that resize them and across threads running at once.
 """
 
 from __future__ import annotations
 
 import importlib
+import sys
+import threading
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 REFERENCE = importlib.import_module("repro.kernels.numpy_backend").load()
@@ -108,3 +113,99 @@ class TestBincountScatterMatchesAddAt:
         factors = [np.array([[1.0], [-1.0]]), np.array([[-1.0], [0.0]])]
         for mode in (0, 1):
             assert_bit_equal(indices, values, factors, mode, 2)
+
+
+def random_case(rng, shape, rank, nnz):
+    """COO arrays over ``shape`` with values of widely varying magnitude."""
+    indices = np.column_stack(
+        [rng.integers(0, n, size=nnz) for n in shape]
+    ).astype(np.int64).reshape(nnz, len(shape))
+    values = rng.standard_normal(nnz) * 10.0 ** rng.integers(-6, 7, size=nnz)
+    factors = [rng.standard_normal((n, rank)) for n in shape]
+    return indices, values, factors
+
+
+class TestScratchBuffers:
+    """The kernel reuses per-thread scratch; results must not notice."""
+
+    def test_back_to_back_calls_that_grow_shrink_and_change_rank(self):
+        rng = np.random.default_rng(11)
+        shape = (9, 7, 5)
+        for nnz, rank in [
+            (50, 4), (400, 4), (30, 4), (900, 6), (5, 6), (250, 3), (0, 3), (120, 3),
+        ]:
+            indices, values, factors = random_case(rng, shape, rank, nnz)
+            for mode in range(len(shape)):
+                assert_bit_equal(indices, values, factors, mode, shape[mode])
+
+    def test_earlier_result_unchanged_by_a_later_call(self):
+        rng = np.random.default_rng(12)
+        shape = (6, 5, 4)
+        first_case = random_case(rng, shape, 3, 80)
+        first = REFERENCE.mttkrp_coo(*first_case, 0, shape[0])
+        snapshot = first.tobytes()
+        for nnz in (80, 500, 10):
+            indices, values, factors = random_case(rng, shape, 3, nnz)
+            REFERENCE.mttkrp_coo(indices, values, factors, 0, shape[0])
+        assert first.tobytes() == snapshot
+
+    def test_in_range_negative_indices_match_the_oracle(self):
+        rng = np.random.default_rng(13)
+        shape = (5, 4, 3)
+        indices, values, factors = random_case(rng, shape, 3, 60)
+        indices[::3, 1] -= shape[1]  # -n <= i < 0: valid fancy indices
+        indices[1::4, 2] -= shape[2]
+        assert_bit_equal(indices, values, factors, 0, shape[0])
+
+    @pytest.mark.parametrize("offset", [0, 3, -1, -9])
+    def test_out_of_range_indices_raise_index_error(self, offset):
+        rng = np.random.default_rng(14)
+        shape = (5, 4, 3)
+        indices, values, factors = random_case(rng, shape, 2, 40)
+        # offset 0 / 3 give i >= n, offset -1 / -9 give i < -n.
+        bad = shape[1] + offset if offset >= 0 else -shape[1] + offset
+        indices[17, 1] = bad
+        with pytest.raises(IndexError):
+            add_at_mttkrp_coo(indices, values, factors, 0, shape[0])
+        with pytest.raises(IndexError):
+            REFERENCE.mttkrp_coo(indices, values, factors, 0, shape[0])
+
+    def test_concurrent_threads_each_match_the_oracle(self):
+        rng = np.random.default_rng(15)
+        shape = (20, 15, 10)
+        cases = [
+            random_case(rng, shape, rank, nnz)
+            for rank, nnz in [(4, 3000), (7, 1200), (4, 200), (5, 2500)]
+        ]
+        expected = [
+            [add_at_mttkrp_coo(*case, mode, shape[mode]).tobytes() for mode in range(3)]
+            for case in cases
+        ]
+        barrier = threading.Barrier(len(cases))
+        mismatches: list[tuple[int, int]] = []
+
+        def worker(position):
+            barrier.wait()
+            for _ in range(25):
+                for mode in range(3):
+                    actual = REFERENCE.mttkrp_coo(*cases[position], mode, shape[mode])
+                    if actual.tobytes() != expected[position][mode]:
+                        mismatches.append((position, mode))
+
+        threads = [
+            threading.Thread(target=worker, args=(position,))
+            for position in range(len(cases))
+        ]
+        # More threads than cores and a short switch interval, so the
+        # threads interleave inside the kernel; shared buffers would mix.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []

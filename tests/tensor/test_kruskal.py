@@ -92,6 +92,58 @@ class TestReconstruction:
         np.testing.assert_allclose(weighted, manual, atol=1e-12)
 
 
+def broadcast_copy_values_at(kruskal, coordinates):
+    """The historical ``values_at`` on fresh temporaries, kept as the oracle."""
+    product = np.broadcast_to(
+        kruskal.weights, (coordinates.shape[0], kruskal.rank)
+    ).copy()
+    for mode, factor in enumerate(kruskal.factors):
+        product *= factor[coordinates[:, mode], :]
+    return product.sum(axis=1)
+
+
+class TestValuesAtOracle:
+    """``values_at`` gathers in reused scratch; its bits must not change."""
+
+    def test_bit_equal_across_growing_shrinking_and_rank_changes(self):
+        rng = np.random.default_rng(21)
+        shape = (7, 6, 5)
+        for n, rank in [(40, 3), (700, 3), (12, 3), (300, 8), (1, 8), (90, 2)]:
+            factors = [
+                rng.standard_normal((size, rank))
+                * 10.0 ** rng.integers(-4, 5, size=(size, 1))
+                for size in shape
+            ]
+            kruskal = KruskalTensor(factors, rng.uniform(-3.0, 3.0, size=rank))
+            coordinates = np.column_stack(
+                [rng.integers(-size, size, size=n) for size in shape]
+            )
+            expected = broadcast_copy_values_at(kruskal, coordinates)
+            actual = kruskal.values_at(coordinates)
+            assert actual.tobytes() == expected.tobytes()
+
+    def test_earlier_result_unchanged_by_a_later_call(self, kruskal, rng):
+        coordinates = np.column_stack(
+            [rng.integers(0, n, size=50) for n in kruskal.shape]
+        )
+        first = kruskal.values_at(coordinates)
+        snapshot = first.tobytes()
+        for n in (50, 20, 400):  # reuses the buffers, then grows them
+            kruskal.values_at(np.column_stack(
+                [rng.integers(0, size, size=n) for size in kruskal.shape]
+            ))
+        assert first.tobytes() == snapshot
+
+    @pytest.mark.parametrize("bad", [5, 9, -6, -20])
+    def test_out_of_range_coordinates_raise_index_error(self, kruskal, bad):
+        coordinates = np.zeros((4, 3), dtype=np.int64)
+        coordinates[2, 1] = bad  # mode 1 has length 5
+        with pytest.raises(IndexError):
+            broadcast_copy_values_at(kruskal, coordinates)
+        with pytest.raises(IndexError):
+            kruskal.values_at(coordinates)
+
+
 class TestNorms:
     def test_squared_norm_matches_dense(self, kruskal):
         dense = kruskal.to_dense()

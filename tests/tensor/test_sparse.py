@@ -408,6 +408,35 @@ _operations = st.one_of(
 )
 
 
+def _apply_operation(tensor: SparseTensor, operation: tuple) -> SparseTensor:
+    """Apply one drawn ``_operations`` step; returns the (possibly new) tensor."""
+    kind = operation[0]
+    if kind == "set":
+        tensor.set(operation[1], operation[2])
+    elif kind == "add":
+        tensor.add(operation[1], operation[2])
+    elif kind == "cancel":  # drop to zero through add
+        tensor.add(operation[1], -tensor.get(operation[1]))
+    elif kind == "add_batch":
+        pairs = operation[1]
+        tensor.add_batch([c for c, _ in pairs], [v for _, v in pairs])
+    elif kind == "cancel_many":
+        victims = list(tensor.coordinates())[: operation[1]]
+        tensor.add_batch(victims, [-tensor.get(c) for c in victims])
+    elif kind == "fill":  # many inserts: grows the buffers
+        start, count = operation[1], operation[2]
+        for position in range(start, start + count):
+            cell = np.unravel_index(position % 48, PROPERTY_SHAPE)
+            tensor.add(tuple(int(i) for i in cell), position + 0.5)
+    elif kind == "copy":
+        tensor = tensor.copy()
+    else:
+        tensor = SparseTensor.from_coo(
+            PROPERTY_SHAPE, *tensor.to_coo_arrays(), version=tensor.version
+        )
+    return tensor
+
+
 def _assert_coo_matches_storage(tensor: SparseTensor) -> None:
     """``to_coo_arrays`` equals a rebuild from the dict, bit for bit."""
     expected_indices = np.array(list(tensor.coordinates()), dtype=np.int64)
@@ -432,30 +461,7 @@ class TestIncrementalCoo:
         tensor = SparseTensor(PROPERTY_SHAPE)
         held: list[tuple[np.ndarray, bytes, np.ndarray, bytes]] = []
         for operation in operations:
-            kind = operation[0]
-            if kind == "set":
-                tensor.set(operation[1], operation[2])
-            elif kind == "add":
-                tensor.add(operation[1], operation[2])
-            elif kind == "cancel":  # drop to zero through add
-                tensor.add(operation[1], -tensor.get(operation[1]))
-            elif kind == "add_batch":
-                pairs = operation[1]
-                tensor.add_batch([c for c, _ in pairs], [v for _, v in pairs])
-            elif kind == "cancel_many":
-                victims = list(tensor.coordinates())[: operation[1]]
-                tensor.add_batch(victims, [-tensor.get(c) for c in victims])
-            elif kind == "fill":  # many inserts: grows the buffers
-                start, count = operation[1], operation[2]
-                for position in range(start, start + count):
-                    cell = np.unravel_index(position % 48, PROPERTY_SHAPE)
-                    tensor.add(tuple(int(i) for i in cell), position + 0.5)
-            elif kind == "copy":
-                tensor = tensor.copy()
-            else:
-                tensor = SparseTensor.from_coo(
-                    PROPERTY_SHAPE, *tensor.to_coo_arrays(), version=tensor.version
-                )
+            tensor = _apply_operation(tensor, operation)
             _assert_coo_matches_storage(tensor)
             # Tombstones never outnumber the live entries.
             assert len(tensor._coo_values) - tensor.nnz <= tensor.nnz
@@ -620,3 +626,52 @@ class TestIteration:
         tensor = SparseTensor((2, 2))
         tensor.set((0, 0), math.inf)
         assert math.isinf(tensor.get((0, 0)))
+
+
+class TestModeSliceArrays:
+    """``mode_slice_arrays`` gathers by slot from the maintained COO."""
+
+    @staticmethod
+    def _assert_matches_tuple_rebuild(tensor: SparseTensor) -> None:
+        for mode, size in enumerate(tensor.shape):
+            for index in range(size):
+                entries = list(tensor.mode_slice(mode, index))
+                expected_indices = np.array(
+                    [coordinate for coordinate, _ in entries], dtype=np.int64
+                ).reshape(len(entries), tensor.order)
+                expected_values = np.array(
+                    [value for _, value in entries], dtype=np.float64
+                )
+                indices, values = tensor.mode_slice_arrays(mode, index)
+                assert indices.dtype == np.int64 and values.dtype == np.float64
+                assert indices.shape == expected_indices.shape
+                assert values.shape == expected_values.shape
+                assert indices.tobytes() == expected_indices.tobytes()
+                assert values.tobytes() == expected_values.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(operations=st.lists(_operations, min_size=1, max_size=40))
+    def test_matches_tuple_rebuild_after_every_step(self, operations):
+        tensor = SparseTensor(PROPERTY_SHAPE)
+        held: list[tuple[np.ndarray, bytes]] = []
+        for operation in operations:
+            tensor = _apply_operation(tensor, operation)
+            self._assert_matches_tuple_rebuild(tensor)
+            # Returned arrays are copies: later mutations never reach them.
+            for array, snapshot in held:
+                assert array.tobytes() == snapshot
+            for coordinate in list(tensor.coordinates())[:1]:
+                indices, values = tensor.mode_slice_arrays(0, coordinate[0])
+                held.extend([(indices, indices.tobytes()), (values, values.tobytes())])
+
+    def test_mutation_straight_after_a_call_raises_no_buffer_error(self):
+        tensor = SparseTensor(PROPERTY_SHAPE, entries={(1, 2, 0): 3.0, (1, 0, 2): -1.0})
+        for step in range(30):  # inserts grow the buffers, removals compact
+            indices, values = tensor.mode_slice_arrays(0, 1)
+            assert len(values) == tensor.degree(0, 1)
+            cell = tuple(int(i) for i in np.unravel_index(step, PROPERTY_SHAPE))
+            tensor.add(cell, step + 0.5)
+            tensor.mode_slice_arrays(2, cell[2])
+            if step % 3 == 0:
+                tensor.set(cell, 0.0)
+        self._assert_matches_tuple_rebuild(tensor)

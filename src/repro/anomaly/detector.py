@@ -2,21 +2,59 @@
 
 The detector keeps running statistics (mean and variance, via Welford's
 algorithm) of the reconstruction errors it observes, and converts each new
-error into a Z-score.  A fixed-size scoreboard of the highest scores supports
-the "precision at top-20" evaluation, and the recorded detection times
-support the "time gap between occurrence and detection" metric.
+error into a Z-score.  A fixed-size scoreboard — the top
+:data:`SCOREBOARD_SIZE` post-warm-up scores, nothing else — supports the
+"precision at top-20" evaluation, and the recorded detection times support
+the "time gap between occurrence and detection" metric.  The detector's
+memory, its checkpoint payload and every ``top_k`` query are therefore
+bounded no matter how long the stream runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import math
+import numbers
 from collections.abc import Mapping
 from typing import Any
 
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, ConfigurationError
 
 Coordinate = tuple[int, ...]
+
+#: How many post-warm-up scores a detector retains: 5x the paper's top-20
+#: evaluation.  ``top_k`` answers any ``k`` up to this size exactly as if
+#: every score ever emitted had been kept and sorted.
+SCOREBOARD_SIZE = 100
+
+
+def check_top_k(k: Any) -> int:
+    """``k`` as an int, or :class:`ConfigurationError` unless it is an
+    integer in ``[0, SCOREBOARD_SIZE]``."""
+    if (
+        isinstance(k, bool)
+        or not isinstance(k, numbers.Integral)
+        or not 0 <= k <= SCOREBOARD_SIZE
+    ):
+        raise ConfigurationError(
+            f"k must be an integer in [0, {SCOREBOARD_SIZE}], got {k!r}"
+        )
+    return int(k)
+
+
+def _rank(value: float) -> float:
+    """Sort key of a z-score or error: NaN ranks as ``-inf``."""
+    return value if value == value else -math.inf
+
+
+def _offer(board: list, score: AnomalyScore, sequence: int) -> None:
+    """Offer one post-warm-up score to a bounded scoreboard heap."""
+    entry = (_rank(score.z_score), _rank(score.error), -sequence, score)
+    if len(board) < SCOREBOARD_SIZE:
+        heapq.heappush(board, entry)
+    elif entry > board[0]:  # keys are unique: scores are never compared
+        heapq.heapreplace(board, entry)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -43,6 +81,17 @@ class AnomalyScore:
 class ZScoreDetector:
     """Online Z-score scoring of reconstruction errors.
 
+    Scores rank by ``(z_score, error)``, highest first, and ties rank by
+    arrival (earlier first).  The scoreboard is a min-heap of the
+    :data:`SCOREBOARD_SIZE` best ``(z_score, error, -arrival)`` keys; a key
+    is unique, so the board holds exactly the first ``SCOREBOARD_SIZE``
+    entries of a stable full sort of every post-warm-up score.
+
+    Non-finite values: a NaN z-score or error ranks as ``-inf`` (below every
+    number, tied with ``-inf``), and ``+inf`` ranks above every number.  A
+    NaN or infinite error also turns the running variance into NaN, so every
+    later observation is a warm-up placeholder and never reaches the board.
+
     Parameters
     ----------
     warmup:
@@ -55,7 +104,10 @@ class ZScoreDetector:
         self._count = 0
         self._mean = 0.0
         self._m2 = 0.0
-        self._scores: list[AnomalyScore] = []
+        #: Arrival number of the next observation (the tie-breaker).
+        self._sequence = 0
+        #: Min-heap of ``(rank(z), rank(error), -arrival, score)``.
+        self._board: list[tuple[float, float, int, AnomalyScore]] = []
 
     # ------------------------------------------------------------------
     # Statistics
@@ -78,9 +130,10 @@ class ZScoreDetector:
         return math.sqrt(self._m2 / (self._count - 1))
 
     @property
-    def scores(self) -> list[AnomalyScore]:
-        """Every score emitted so far (in observation order)."""
-        return list(self._scores)
+    def scoreboard(self) -> list[AnomalyScore]:
+        """The retained post-warm-up scores, best first (at most
+        :data:`SCOREBOARD_SIZE`)."""
+        return [entry[3] for entry in sorted(self._board, reverse=True)]
 
     # ------------------------------------------------------------------
     # Observation
@@ -110,7 +163,9 @@ class ZScoreDetector:
             ),
             is_warmup=is_warmup,
         )
-        self._scores.append(score)
+        if not is_warmup:
+            _offer(self._board, score, self._sequence)
+        self._sequence += 1
         self._update_statistics(error)
         return score
 
@@ -128,51 +183,82 @@ class ZScoreDetector:
 
         Covers everything :meth:`observe` mutates — the observation count,
         the Welford mean/M2 accumulators (float repr round-trips exactly
-        through JSON), the warm-up threshold, and every recorded score —
-        so a detector restored with :meth:`from_state` continues on the
-        exact same score stream as an uninterrupted one.  Streaming-run
-        checkpoints store this in their ``extra`` payload.
+        through JSON), the warm-up threshold, the arrival counter and the
+        scoreboard (best first, each entry with its arrival number) — so a
+        detector restored with :meth:`from_state` continues on the exact
+        same score stream and scoreboard as an uninterrupted one.
+        Streaming-run checkpoints store this in their ``extra`` payload.
         """
         return {
             "warmup": self._warmup,
             "count": self._count,
             "mean": self._mean,
             "m2": self._m2,
-            "scores": [
+            "sequence": self._sequence,
+            "scoreboard": [
                 {
                     "coordinate": list(score.coordinate),
                     "z_score": score.z_score,
                     "error": score.error,
                     "event_time": score.event_time,
                     "detection_time": score.detection_time,
-                    "is_warmup": score.is_warmup,
+                    "sequence": -negated_sequence,
                 }
-                for score in self._scores
+                for _, _, negated_sequence, score in sorted(
+                    self._board, reverse=True
+                )
             ],
         }
 
     def load_state(self, state: Mapping[str, Any]) -> None:
-        """Restore the running state saved by :meth:`state_dict`."""
+        """Restore the running state saved by :meth:`state_dict`.
+
+        Also reads the older payload that listed every emitted score under
+        ``"scores"``: its post-warm-up entries, in list order, rebuild the
+        board, so such a checkpoint resumes with an identical ``top_k``.
+        """
         try:
-            self._warmup = max(int(state["warmup"]), 1)
-            self._count = int(state["count"])
-            self._mean = float(state["mean"])
-            self._m2 = float(state["m2"])
-            self._scores = [
-                AnomalyScore(
-                    coordinate=tuple(int(i) for i in entry["coordinate"]),
-                    z_score=float(entry["z_score"]),
-                    error=float(entry["error"]),
-                    event_time=float(entry["event_time"]),
-                    detection_time=float(entry["detection_time"]),
-                    is_warmup=bool(entry.get("is_warmup", False)),
+            warmup = max(int(state["warmup"]), 1)
+            count = int(state["count"])
+            mean = float(state["mean"])
+            m2 = float(state["m2"])
+            if "scoreboard" in state:
+                sequence = int(state["sequence"])
+                entries = [
+                    (int(entry["sequence"]), entry)
+                    for entry in state["scoreboard"]
+                ]
+            else:
+                scores = list(state["scores"])
+                sequence = len(scores)
+                entries = [
+                    (position, entry)
+                    for position, entry in enumerate(scores)
+                    if not entry.get("is_warmup", False)
+                ]
+            board: list = []
+            for position, entry in entries:
+                _offer(
+                    board,
+                    AnomalyScore(
+                        coordinate=tuple(int(i) for i in entry["coordinate"]),
+                        z_score=float(entry["z_score"]),
+                        error=float(entry["error"]),
+                        event_time=float(entry["event_time"]),
+                        detection_time=float(entry["detection_time"]),
+                    ),
+                    position,
                 )
-                for entry in state["scores"]
-            ]
-        except (KeyError, TypeError, ValueError) as error:
+        except (KeyError, TypeError, ValueError, AttributeError) as error:
             raise CheckpointError(
                 f"detector state payload is unreadable: {error}"
             ) from error
+        self._warmup = warmup
+        self._count = count
+        self._mean = mean
+        self._m2 = m2
+        self._sequence = sequence
+        self._board = board
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "ZScoreDetector":
@@ -185,16 +271,17 @@ class ZScoreDetector:
     # Evaluation
     # ------------------------------------------------------------------
     def top_k(self, k: int) -> list[AnomalyScore]:
-        """The ``k`` highest-scoring observations (ties broken by error size).
+        """The ``k`` highest-scoring observations (ties broken by error size,
+        then by arrival).
 
-        Warm-up placeholders (emitted before the error statistics exist) are
-        excluded: they carry no evidence and must not occupy scoreboard slots
-        on short runs.  A genuine post-warm-up score of 0.0 stays eligible.
+        ``k`` must be an integer in ``[0, SCOREBOARD_SIZE]``
+        (:class:`ConfigurationError` otherwise).  Warm-up placeholders
+        (emitted before the error statistics exist) are never retained: they
+        carry no evidence and must not occupy scoreboard slots on short
+        runs.  A genuine post-warm-up score of 0.0 stays eligible.
         """
-        scored = [s for s in self._scores if not s.is_warmup]
-        return sorted(scored, key=lambda s: (s.z_score, s.error), reverse=True)[
-            : int(k)
-        ]
+        k = check_top_k(k)
+        return [entry[3] for entry in heapq.nlargest(k, self._board)]
 
     def precision_at_k(
         self, k: int, true_coordinates: set[Coordinate]

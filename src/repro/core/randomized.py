@@ -38,15 +38,11 @@ from repro.kernels.api import flatten_mode_overrides
 from repro.kernels.registry import numpy_backend
 from repro.stream.deltas import Delta, DeltaBatch
 
-try:  # SciPy is optional: direct LAPACK wrappers skip numpy.linalg's
-    # per-call type/shape machinery (~3x cheaper for the R x R systems of
-    # the update rules).  The regularized solve itself lives in
-    # repro.kernels now; dtrtrs is still used by SNSRndPlus's triangular
-    # sweep, and dposv is kept importable for compatibility.
-    from scipy.linalg.lapack import dposv as _lapack_posv
+try:  # SciPy is optional: the direct LAPACK wrapper skips numpy.linalg's
+    # per-call type/shape machinery for SNSRndPlus's triangular sweep (the
+    # regularized solve itself lives in repro.kernels).
     from scipy.linalg.lapack import dtrtrs as _lapack_trtrs
 except ImportError:  # pragma: no cover - exercised only without scipy
-    _lapack_posv = None
     _lapack_trtrs = None
 
 Coordinate = tuple[int, ...]

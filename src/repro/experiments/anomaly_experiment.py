@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.anomaly.detector import ZScoreDetector
+from repro.anomaly.detector import SCOREBOARD_SIZE, ZScoreDetector
 from repro.anomaly.injection import InjectedAnomaly, inject_anomalies
 from repro.anomaly.scoring import score_batch
 from repro.baselines.base import BaselineConfig
@@ -76,12 +76,14 @@ def run_anomaly_experiment(
     window, and the anomalies are injected into the first
     ``replay_periods - 1`` of them, so every anomaly arrives while the
     methods are streaming and at least one period boundary follows it (the
-    per-period baselines can only detect at boundaries).
+    per-period baselines can only detect at boundaries).  ``top_k``
+    (default: ``n_anomalies``) may not exceed the detector's
+    :data:`~repro.anomaly.detector.SCOREBOARD_SIZE`.
 
     Checkpointing (continuous methods only — the per-period baselines carry
     no checkpointable state): with ``settings.checkpoint_dir`` set, each
     continuous method's run state *including the detector's running
-    statistics and recorded scores* is saved under
+    statistics and scoreboard* is saved under
     ``<checkpoint_dir>/anomaly-<method>`` every ``settings.checkpoint_events``
     events and at the end of the run.  With ``settings.resume=True`` an
     existing checkpoint there is restored and the replay continues — the
@@ -107,6 +109,11 @@ def run_anomaly_experiment(
             "no checkpoint is ever written or read"
         )
     top_k = n_anomalies if top_k is None else top_k
+    if top_k > SCOREBOARD_SIZE:
+        raise ConfigurationError(
+            f"top_k={top_k} exceeds the detector's {SCOREBOARD_SIZE}-entry "
+            "scoreboard"
+        )
     clean_stream, spec = generate_dataset(settings.dataset, scale=settings.scale)
     window_config = WindowConfig(
         mode_sizes=spec.mode_sizes,
@@ -341,8 +348,8 @@ def _evaluate(
     kind: str,
 ) -> tuple[float, float]:
     """Precision at top-k and mean detection delay over matched anomalies."""
-    top = detector.top_k(top_k)
-    if top_k <= 0 or not top:
+    top = detector.top_k(top_k) if top_k > 0 else []
+    if not top:
         return 0.0, float("nan")
     hits = 0
     delays: list[float] = []

@@ -363,9 +363,11 @@ class StreamSession:
         return payload
 
     def anomalies(self, k: int = 20) -> dict[str, Any]:
-        """Top-``k`` anomaly scoreboard of the live stream."""
+        """Top-``k`` anomaly scoreboard of the live stream (``k`` at most
+        :data:`~repro.anomaly.detector.SCOREBOARD_SIZE`)."""
         self._require_live("anomalies")
         started = time.perf_counter()
+        top = self._detector.top_k(k)
         payload = {
             "k": int(k),
             "scored": self._detector.count,
@@ -377,7 +379,7 @@ class StreamSession:
                     "event_time": score.event_time,
                     "detection_time": score.detection_time,
                 }
-                for score in self._detector.top_k(k)
+                for score in top
             ],
             "clock": self.clock,
         }

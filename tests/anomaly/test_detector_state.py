@@ -30,14 +30,14 @@ class TestDetectorStateRoundTrip:
         assert clone.count == detector.count
         assert clone.mean == detector.mean
         assert clone.std == detector.std
-        assert clone.scores == detector.scores
+        assert clone.scoreboard == detector.scoreboard
 
     def test_round_trip_mid_warmup(self, rng):
         detector = ZScoreDetector(warmup=30)
         _observe_many(detector, rng, 10)
         clone = ZScoreDetector.from_state(detector.state_dict())
         assert clone.count == 10
-        assert all(score.is_warmup for score in clone.scores)
+        assert clone.scoreboard == []
 
     def test_continuation_is_identical(self, rng):
         """Observing through a save/restore equals observing straight through."""
@@ -51,7 +51,7 @@ class TestDetectorStateRoundTrip:
         for position, error in enumerate(errors[25:], start=25):
             for detector in (straight, resumed):
                 detector.observe((0, position), float(error), event_time=float(position))
-        assert resumed.scores == straight.scores
+        assert resumed.scoreboard == straight.scoreboard
         assert resumed.mean == straight.mean
         assert resumed.std == straight.std
 
@@ -62,13 +62,13 @@ class TestDetectorStateRoundTrip:
         _observe_many(detector, rng, 40)
         state = json.loads(json.dumps(detector.state_dict()))
         clone = ZScoreDetector.from_state(state)
-        assert clone.scores == detector.scores
+        assert clone.scoreboard == detector.scoreboard
         assert clone.mean == detector.mean
 
     def test_fresh_detector_round_trips(self):
         clone = ZScoreDetector.from_state(ZScoreDetector(warmup=7).state_dict())
         assert clone.count == 0
-        assert clone.scores == []
+        assert clone.scoreboard == []
 
     @pytest.mark.parametrize(
         "state",
@@ -78,6 +78,11 @@ class TestDetectorStateRoundTrip:
             {"warmup": 5, "count": "three", "mean": 0.0, "m2": 0.0, "scores": []},
             {"warmup": 5, "count": 3, "mean": 0.0, "m2": 0.0, "scores": [{"bad": 1}]},
             {"warmup": 5, "count": 3, "mean": 0.0, "m2": 0.0, "scores": "nope"},
+            {"warmup": 5, "count": 3, "mean": 0.0, "m2": 0.0, "scoreboard": []},
+            {
+                "warmup": 5, "count": 3, "mean": 0.0, "m2": 0.0,
+                "sequence": 3, "scoreboard": [{"bad": 1}],
+            },
         ],
     )
     def test_malformed_state_raises_checkpoint_error(self, state):

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
 
+from repro.anomaly.detector import SCOREBOARD_SIZE
 from repro.exceptions import ServiceError
 from repro.service.config import ServiceConfig
 from repro.service.manager import ServiceManager
@@ -118,6 +120,97 @@ class TestOps:
         assert stats["phase"] == "live"
         assert telemetry["telemetry"]["records_ingested"] == 30 + 2 * 8
         assert rows[0]["stream"] == "s" and rows[0]["queue_depth"] == 0
+
+
+class TestAnomaliesArguments:
+    @pytest.mark.parametrize(
+        "k", [-1, SCOREBOARD_SIZE + 1, 2.5, "3", True, None]
+    )
+    def test_bad_k_answers_bad_request(self, k):
+        async def scenario():
+            server = StreamingServer(ServiceManager(ServiceConfig()))
+            await create_and_start(server, "s", warm_records(seed=3))
+            response = await server._dispatch_safely(
+                json.dumps({"op": "anomalies", "stream": "s", "k": k}).encode()
+                + b"\n"
+            )
+            await server.stop()
+            return response
+
+        response = asyncio.run(scenario())
+        assert not response["ok"] and response["error"] == "bad_request"
+        assert "k must be an integer" in response["message"]
+
+    @pytest.mark.parametrize("k", [0, SCOREBOARD_SIZE])
+    def test_k_at_the_bounds_is_answered(self, k):
+        async def scenario():
+            server = StreamingServer(ServiceManager(ServiceConfig()))
+            await create_and_start(server, "s", warm_records(seed=3))
+            for chunk in live_chunks(2, seed=4):
+                await dispatch(
+                    server, "ingest", stream="s", records=wire_records(chunk)
+                )
+            await dispatch(server, "flush", stream="s")
+            response = await dispatch(server, "anomalies", stream="s", k=k)
+            await server.stop()
+            return response
+
+        response = asyncio.run(scenario())
+        assert response["ok"] and response["k"] == k
+        assert len(response["anomalies"]) <= k
+
+
+class TestApplyThread:
+    N_STREAMS = 8
+
+    def test_every_apply_runs_on_one_thread_off_the_loop(self, monkeypatch):
+        """Applies of all streams share one dedicated thread; queries run
+        elsewhere (the default executor), never on the loop itself."""
+        apply_threads: list[int] = []
+        query_threads: list[int] = []
+        apply_chunk = StreamSession.apply_chunk
+        fitness = StreamSession.fitness
+
+        def recording_apply(session, records):
+            apply_threads.append(threading.get_ident())
+            return apply_chunk(session, records)
+
+        def recording_fitness(session):
+            query_threads.append(threading.get_ident())
+            return fitness(session)
+
+        monkeypatch.setattr(StreamSession, "apply_chunk", recording_apply)
+        monkeypatch.setattr(StreamSession, "fitness", recording_fitness)
+
+        async def tenant(server, index):
+            stream_id = f"t{index}"
+            await create_and_start(server, stream_id, warm_records(seed=10 + index))
+            for chunk in live_chunks(3, seed=40 + index):
+                response = await dispatch(
+                    server, "ingest", stream=stream_id, records=wire_records(chunk)
+                )
+                assert response["ok"], response
+                await dispatch(server, "fitness", stream=stream_id)
+            flush = await dispatch(server, "flush", stream=stream_id)
+            assert flush["deferred_errors"] == []
+
+        async def scenario():
+            server = StreamingServer(
+                ServiceManager(ServiceConfig(max_streams=self.N_STREAMS))
+            )
+            await asyncio.gather(
+                *(tenant(server, index) for index in range(self.N_STREAMS))
+            )
+            await server.stop()
+            return threading.get_ident()
+
+        loop_thread = asyncio.run(scenario())
+        assert len(apply_threads) == self.N_STREAMS * 3
+        assert len(set(apply_threads)) == 1
+        assert apply_threads[0] != loop_thread
+        assert len(query_threads) == self.N_STREAMS * 3
+        assert loop_thread not in query_threads
+        assert apply_threads[0] not in query_threads
 
 
 class TestConcurrentTenants:

@@ -10,7 +10,7 @@ from repro.service.config import StreamConfig
 from repro.service.session import StreamSession
 from repro.stream.events import StreamRecord
 
-from helpers import live_chunks, tiny_config, warm_records
+from helpers import live_chunks, make_records, tiny_config, warm_records
 
 
 def live_session(seed=1, chunk_seed=2, n_chunks=2) -> StreamSession:
@@ -233,3 +233,40 @@ class TestDurability:
         shutil.rmtree(tmp_path / "s" / "state")
         with pytest.raises(CheckpointError, match="no run checkpoint"):
             StreamSession.load(tmp_path / "s")
+
+
+class TestBoundedState:
+    """A live stream's checkpoint does not grow with the stream's age."""
+
+    #: One ``e2ebench`` serve tenant: 8 x 6 x 4 window, about 72 nnz.
+    TENANT = dict(
+        mode_sizes=(8, 6),
+        window_length=4,
+        period=10.0,
+        rank=4,
+        als_iterations=4,
+        detector_warmup=20,
+        seed=0,
+        method="sns_rnd_plus",
+    )
+
+    @staticmethod
+    def _bytes(directory) -> int:
+        return sum(p.stat().st_size for p in directory.rglob("*") if p.is_file())
+
+    def test_checkpoint_size_is_independent_of_stream_age(self, tmp_path):
+        session = StreamSession("s", StreamConfig(**self.TENANT))
+        # 200 warm records fill the 40-time-unit initial window exactly.
+        session.ingest(make_records(200, 0.0, 0.2, seed=1, mode_sizes=(8, 6)))
+        session.start()
+        live = make_records(3000, 40.2, 0.2, seed=2, mode_sizes=(8, 6))
+        sizes = {}
+        for position in range(0, len(live), 5):
+            session.ingest(live[position : position + 5])
+            n_records = 200 + position + 5
+            if n_records in (700, 3200):
+                session.save(tmp_path / str(n_records))
+                sizes[n_records] = self._bytes(tmp_path / str(n_records))
+        assert session.telemetry.records_ingested == 3200
+        # Every score ever emitted used to be persisted: 167 KB vs 887 KB.
+        assert abs(sizes[3200] - sizes[700]) <= 0.1 * sizes[700], sizes

@@ -118,32 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "shard count for the relaxed-consistency sharded update path "
-            "(repro.shard): every batch is partitioned into N shared-nothing "
-            "shards whose factor-row updates run as parallel kernel calls "
-            "against a shared snapshot.  1 (default) keeps the exact path; "
-            "> 1 implies --batched"
-        ),
-    )
-    parser.add_argument(
-        "--staleness",
-        type=int,
-        default=0,
-        metavar="S",
-        help=(
-            "batches between Gram synchronizations of the sharded path: 0 "
-            "(default) re-snapshots the factors every batch, S lets shards "
-            "work against state up to S batches old (faster, bounded "
-            "fitness deviation — see benchmarks/results/BENCH_sharded.json)."
-            "  > 0 implies --batched"
-        ),
-    )
-    parser.add_argument(
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
@@ -198,11 +172,9 @@ def _settings(args: argparse.Namespace) -> ExperimentSettings:
         max_events=args.max_events,
         n_checkpoints=args.n_checkpoints,
         seed=args.seed,
-        batched=args.batched or args.shards > 1 or args.staleness > 0,
+        batched=args.batched,
         sampling=args.sampling,
         backend=args.backend,
-        shards=args.shards,
-        staleness=args.staleness,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_events=args.checkpoint_events,
         resume=args.resume,
@@ -246,11 +218,9 @@ def run(argv: Sequence[str] | None = None) -> str:
             "max_events": args.max_events,
             "n_checkpoints": args.n_checkpoints,
             "seed": args.seed,
-            "batched": args.batched or args.shards > 1 or args.staleness > 0,
+            "batched": args.batched,
             "sampling": args.sampling,
             "backend": args.backend,
-            "shards": args.shards,
-            "staleness": args.staleness,
             "checkpoint_dir": args.checkpoint_dir,
             "checkpoint_events": args.checkpoint_events,
             "resume": args.resume,

@@ -89,24 +89,6 @@ class SNSConfig:
         hyper-parameter: checkpoints restore across backends, and the
         ``"legacy"`` sampler always runs the numpy reference to keep its
         bit-for-bit pin.
-    shards:
-        Number of shared-nothing shards the batched update path partitions
-        each :class:`~repro.stream.deltas.DeltaBatch` into (see
-        :mod:`repro.shard`).  ``1`` (the default) with ``staleness == 0``
-        runs the exact single-core path — bit-identical to older releases.
-        ``> 1`` engages the relaxed-consistency
-        :class:`~repro.shard.executor.ShardedExecutor`: categorical factor
-        rows are updated shard-locally against a shared factor snapshot and
-        the temporal mode and Gram state are reconciled in a deterministic
-        merge step, trading a bounded fitness deviation (measured by
-        ``benchmarks/bench_sharded.py``) for parallel row updates.
-    staleness:
-        Number of batches that may elapse between snapshot/Gram
-        synchronizations of the sharded path: ``0`` refreshes the shared
-        snapshot every batch, ``s > 0`` lets shards work against factors up
-        to ``s`` batches old before the next synchronization.  Any value
-        ``> 0`` engages the sharded executor even with ``shards == 1``.
-        Ignored by the per-event path.
     """
 
     rank: int
@@ -117,8 +99,6 @@ class SNSConfig:
     seed: int | None = 0
     sampling: str = "vectorized"
     backend: str = "auto"
-    shards: int = 1
-    staleness: int = 0
 
     def __post_init__(self) -> None:
         if self.rank <= 0:
@@ -139,12 +119,6 @@ class SNSConfig:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
             )
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.staleness < 0:
-            raise ConfigurationError(
-                f"staleness must be >= 0, got {self.staleness}"
-            )
 
 
 class ContinuousCPD(abc.ABC):
@@ -152,18 +126,6 @@ class ContinuousCPD(abc.ABC):
 
     #: Registry name, set by subclasses (e.g. ``"sns_rnd_plus"``).
     name: str = "continuous_cpd"
-
-    #: Sharded-path row rule (see :mod:`repro.shard.executor`): ``True`` on
-    #: the clipped coordinate-descent variants (SNS+_VEC / SNS+_RND), which
-    #: update shard-local rows with
-    #: :func:`repro.core.rowmath.clipped_coordinate_descent`; ``False`` on
-    #: the least-squares variants, which use the batched regularized solve.
-    shard_clipped: bool = False
-
-    #: ``True`` on the θ-sampled variants (SNS_RND / SNS+_RND): shard rows
-    #: whose slice degree exceeds ``θ`` use the sampled residual
-    #: approximation against the shard snapshot instead of the exact MTTKRP.
-    shard_sampled: bool = False
 
     def __init__(self, config: SNSConfig) -> None:
         self._config = config
@@ -185,10 +147,6 @@ class ContinuousCPD(abc.ABC):
         # Hot-path array kernels; unavailable explicit backends degrade to
         # the numpy reference with one warning (see repro.kernels.registry).
         self._kernels = resolve_backend(config.backend)
-        # Relaxed-consistency sharded executor (repro.shard); attached by
-        # initialize()/load_state() when the config asks for one, None on
-        # the exact path.
-        self._sharded: Any | None = None
 
     # ------------------------------------------------------------------
     # Properties
@@ -298,36 +256,9 @@ class ContinuousCPD(abc.ABC):
         self._grams = [factor.T @ factor for factor in factors]
         self._n_updates = 0
         self._post_initialize()
-        self._attach_sharded()
 
     def _post_initialize(self) -> None:
         """Hook for subclasses that maintain extra state (e.g. prev-Grams)."""
-
-    def _attach_sharded(self) -> None:
-        """(Re)build the sharded executor when the config asks for one.
-
-        ``shards == 1 and staleness == 0`` — the exact path — keeps the
-        plain per-event/batched code with no executor in the way, so every
-        existing golden and bit-exactness suite runs the exact code it
-        always did.
-        """
-        config = self._config
-        if config.shards > 1 or config.staleness > 0:
-            # Local import: repro.shard depends on this module.
-            from repro.shard.executor import ShardedExecutor
-
-            self._sharded = ShardedExecutor(self)
-            self._prepare_sharded()
-        else:
-            self._sharded = None
-
-    def _prepare_sharded(self) -> None:
-        """Hook run once when the sharded executor attaches.
-
-        Variants whose exact state layout is incompatible with shard-local
-        row solves normalise it here (``SNSMat`` absorbs its column weights
-        ``λ`` into the first factor); the default is a no-op.
-        """
 
     # ------------------------------------------------------------------
     # Checkpoint state protocol
@@ -345,12 +276,6 @@ class ContinuousCPD(abc.ABC):
         :mod:`repro.stream.checkpoint` for the on-disk format.
         """
         self._require_initialized()
-        aux = self._aux_state()
-        if self._sharded is not None:
-            # Executor bookkeeping (batch counter, factor/Gram snapshot)
-            # rides in aux under `shard_`-prefixed keys so sharded runs
-            # checkpoint/restore deterministically mid staleness interval.
-            aux.update(self._sharded.aux_state())
         return {
             "name": self.name,
             "config": dataclasses.asdict(self._config),
@@ -359,7 +284,7 @@ class ContinuousCPD(abc.ABC):
             "rng_state": self._rng.bit_generator.state,
             "factors": [factor.copy() for factor in self._factors],
             "grams": [gram.copy() for gram in self._grams],
-            "aux": aux,
+            "aux": self._aux_state(),
         }
 
     def load_state(self, window: TensorWindow, state: Mapping[str, Any]) -> None:
@@ -389,10 +314,18 @@ class ContinuousCPD(abc.ABC):
                 for key, value in dict(saved_config).items()
                 if key != "backend"
             }
-            # Checkpoints written before the sharded execution layer lack
-            # these keys; they were implicitly exact runs.
-            saved_config.setdefault("shards", 1)
-            saved_config.setdefault("staleness", 0)
+            # Older checkpoints carry the removed sharded-path knobs; only
+            # their exact-path values (shards=1, staleness=0) describe a run
+            # this model can continue.
+            if (
+                saved_config.pop("shards", 1) != 1
+                or saved_config.pop("staleness", 0) != 0
+            ):
+                raise ConfigurationError(
+                    "checkpoint was written by the sharded update path, which "
+                    "was removed; only exact-path checkpoints (shards=1, "
+                    "staleness=0) can be restored"
+                )
         if saved_config is not None and saved_config != current_config:
             mismatched = sorted(
                 key
@@ -434,11 +367,7 @@ class ContinuousCPD(abc.ABC):
         if rng_state is not None:
             self._rng.bit_generator.state = rng_state
         self._post_restore()
-        self._attach_sharded()
-        aux = state.get("aux") or {}
-        if self._sharded is not None:
-            self._sharded.load_aux_state(aux)
-        self._load_aux_state(aux)
+        self._load_aux_state(state.get("aux") or {})
 
     def _aux_state(self) -> dict[str, Any]:
         """Variant-specific extra state (arrays / lists of arrays)."""
@@ -473,29 +402,18 @@ class ContinuousCPD(abc.ABC):
         rule must observe the window as of *that* event, not the batch's
         final state.
 
-        This is the plan → execute → merge dispatch point: with
-        ``config.shards > 1`` (or ``staleness > 0``) the batch is handed to
-        the relaxed-consistency :class:`~repro.shard.executor.ShardedExecutor`;
-        otherwise the exact path :meth:`_update_batch_exact` runs, which is
-        the 1-shard/0-staleness special case of the same pipeline and is bit
-        for bit the historical behaviour.
-        """
-        self._require_initialized()
-        if self._sharded is not None:
-            self._sharded.update_batch(batch)
-            return
-        self._update_batch_exact(batch)
-
-    def _update_batch_exact(self, batch: DeltaBatch) -> None:
-        """Exact batched replay — the 1-shard/0-staleness special case.
-
         The default implementation replays the batch event by event, which
         is equivalent — bit for bit — to the per-event path (``apply_delta``
         followed by :meth:`update` for every event).  Per-event setup shared
         between an event's rows lives in ``_update`` itself, so both paths
-        share it; ``RandomizedCPD`` overrides this only to consume raw entry
-        groups instead of ``Delta`` objects.
+        share it; ``RandomizedCPD`` overrides :meth:`_update_batch` only to
+        consume raw entry groups instead of ``Delta`` objects.
         """
+        self._require_initialized()
+        self._update_batch(batch)
+
+    def _update_batch(self, batch: DeltaBatch) -> None:
+        """Replay ``batch`` event by event (see :meth:`update_batch`)."""
         window = self._window
         for delta in batch.deltas:
             window.apply_delta(delta)  # type: ignore[union-attr]

@@ -54,8 +54,6 @@ Entries = tuple[tuple[Coordinate, float], ...]
 class RandomizedCPD(ContinuousCPD):
     """Base class of the θ-bounded randomised variants."""
 
-    shard_sampled = True
-
     def __init__(self, config: SNSConfig) -> None:
         super().__init__(config)
         if config.sampling == "legacy":
@@ -120,7 +118,7 @@ class RandomizedCPD(ContinuousCPD):
             np.copyto(buffer, gram)
         self._process_event(delta.entries, delta.categorical_indices)
 
-    def _update_batch_exact(self, batch: DeltaBatch) -> None:
+    def _update_batch(self, batch: DeltaBatch) -> None:
         """Exact batched path, exactly equivalent to the per-event path.
 
         Events are consumed as raw entry groups

@@ -1,13 +1,10 @@
-"""Row-level update arithmetic shared by the exact and sharded paths.
+"""Row-level update arithmetic shared by the clipped variants.
 
-The clipped coordinate-descent sweep (lines 2-5 of Algorithm 5) historically
-lived twice — in ``SNSVecPlus._coordinate_descent`` and in
-``SNSRndPlus._coordinate_descent_reference`` — with identical float
-operations.  The sharded executor (:mod:`repro.shard.executor`) needs the
-same sweep as a *pure function* of arrays (no ``self``, safe to call from
-worker threads and processes), so the loop lives here once and all callers
-share it.  The float operations are unchanged from the seed implementation,
-which keeps every golden and bit-exactness suite pinned.
+The clipped coordinate-descent sweep (lines 2-5 of Algorithm 5) is used by
+both ``SNSVecPlus`` and ``SNSRndPlus``; it lives here once as a pure
+function of arrays so the two variants run the same float operations.
+Those operations are unchanged from the seed implementation, which keeps
+every golden and bit-exactness suite pinned.
 """
 
 from __future__ import annotations

@@ -38,7 +38,6 @@ class SNSRndPlus(RandomizedCPD):
     """Sampled coordinate-descent updates with clipping: the paper's default choice."""
 
     name = "sns_rnd_plus"
-    shard_clipped = True
 
     def _post_initialize(self) -> None:
         super()._post_initialize()

@@ -22,7 +22,6 @@ class SNSVecPlus(ContinuousCPD):
     """Coordinate-descent row updates with entry clipping at ``η``."""
 
     name = "sns_vec_plus"
-    shard_clipped = True
 
     # ------------------------------------------------------------------
     # Algorithm 3 outline

@@ -9,7 +9,6 @@ follow Table III via :class:`repro.data.datasets.DatasetSpec`.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 from repro.data.datasets import DATASETS, DatasetSpec, get_dataset_spec
 from repro.exceptions import ConfigurationError
@@ -54,8 +53,8 @@ class ExperimentSettings:
         Replay events through the batched engine
         (:meth:`ContinuousStreamProcessor.run_batched` /
         ``ContinuousCPD.update_batch``) instead of the per-event loop.
-        Results are equivalent for the SliceNStitch variants (bit-identical
-        windows, factors within float round-off); throughput is higher.
+        Results are bit-identical for the SliceNStitch variants, fitness
+        samples and checkpoints included; throughput is higher.
         Periodic baselines share the same semantics on both engines: one
         update per period boundary against the window exactly at the
         boundary (every event up to and including it applied, none after).
@@ -89,17 +88,6 @@ class ExperimentSettings:
         Resume each method from its checkpoint under ``checkpoint_dir`` when
         one exists, continuing to ``max_events`` total events; requires
         ``checkpoint_dir``.
-    shards:
-        Shard count for the relaxed-consistency sharded update path
-        (:mod:`repro.shard`), forwarded to
-        :class:`repro.core.base.SNSConfig`.  ``1`` (the default) with
-        ``staleness=0`` keeps the exact path; ``> 1`` partitions every
-        batch's events into shared-nothing shards.  Ignored by the periodic
-        baselines.  Requires ``batched=True`` to take effect — the per-event
-        loop never goes through ``update_batch``.
-    staleness:
-        Batches between Gram/λ synchronizations of the sharded path.  ``0``
-        (the default) re-snapshots every batch.
     n_workers:
         Number of worker processes the experiment fan-out may use
         (:mod:`repro.experiments.parallel`).  ``1`` (the default) runs every
@@ -119,8 +107,6 @@ class ExperimentSettings:
     batched: bool = False
     sampling: str = "vectorized"
     backend: str = "auto"
-    shards: int = 1
-    staleness: int = 0
     checkpoint_dir: str | None = None
     checkpoint_events: int | None = None
     resume: bool = False
@@ -153,17 +139,6 @@ class ExperimentSettings:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
             )
-        if self.shards < 1:
-            raise ConfigurationError(f"shards must be >= 1, got {self.shards}")
-        if self.staleness < 0:
-            raise ConfigurationError(
-                f"staleness must be >= 0, got {self.staleness}"
-            )
-        if (self.shards > 1 or self.staleness > 0) and not self.batched:
-            raise ConfigurationError(
-                "shards/staleness require batched=True — the sharded path "
-                "executes update_batch, which the per-event loop never calls"
-            )
         if self.checkpoint_events is not None and self.checkpoint_events <= 0:
             raise ConfigurationError(
                 f"checkpoint_events must be positive, got {self.checkpoint_events}"
@@ -191,24 +166,6 @@ class ExperimentSettings:
     def fitness_every(self) -> int:
         """Events between two fitness samples during the replay."""
         return max(self.max_events // self.n_checkpoints, 1)
-
-    @property
-    def checkpoint_every(self) -> int:
-        """Deprecated alias of :attr:`fitness_every`.
-
-        Historically this fitness-sampling cadence was called
-        ``checkpoint_every``, which collided with the real on-disk
-        checkpoints once those existed (``checkpoint_dir`` /
-        ``checkpoint_events``).
-        """
-        warnings.warn(
-            "ExperimentSettings.checkpoint_every is deprecated; use "
-            "fitness_every (it is the fitness-sampling cadence, not an "
-            "on-disk checkpoint interval)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.fitness_every
 
 
 def default_settings(dataset: str = "nyc_taxi", **overrides: object) -> ExperimentSettings:

@@ -123,8 +123,6 @@ def method_task(
     batched: bool = False,
     sampling: str = "vectorized",
     backend: str = "auto",
-    shards: int = 1,
-    staleness: int = 0,
     checkpoint_events: int | None = None,
     checkpoint_subdir: str | None = None,
 ) -> ExperimentTask:
@@ -143,8 +141,6 @@ def method_task(
             "batched": bool(batched),
             "sampling": sampling,
             "backend": backend,
-            "shards": int(shards),
-            "staleness": int(staleness),
             "checkpoint_events": checkpoint_events,
         },
         checkpoint_subdir=checkpoint_subdir,
@@ -186,8 +182,6 @@ def execute_task(
             batched=params.get("batched", False),
             sampling=params.get("sampling", "vectorized"),
             backend=params.get("backend", "auto"),
-            shards=params.get("shards", 1),
-            staleness=params.get("staleness", 0),
             checkpoint_dir=checkpoint_dir,
             checkpoint_events=(
                 params.get("checkpoint_events") if checkpoint_dir is not None else None

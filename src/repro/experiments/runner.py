@@ -11,7 +11,6 @@ reproducing the protocol of Section VI-A.
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -142,12 +141,9 @@ def run_method(
     batched: bool = False,
     sampling: str = "vectorized",
     backend: str = "auto",
-    shards: int = 1,
-    staleness: int = 0,
     checkpoint_dir: str | Path | None = None,
     checkpoint_events: int | None = None,
     resume: bool = False,
-    checkpoint_every: int | None = None,
 ) -> MethodResult:
     """Replay ``max_events`` window events against one method.
 
@@ -168,10 +164,11 @@ def run_method(
 
     With ``batched=True`` the stream is replayed through the batched engine:
     continuous methods consume one :class:`DeltaBatch` per batch window via
-    ``update_batch`` (numerically equivalent to the per-event loop — see the
-    equivalence test suite), and their fitness samples are recorded at batch
-    granularity rather than on exact event counts; periodic baselines advance
-    the window with vectorized pure replay between boundaries and score the
+    ``update_batch`` (bit-identical to the per-event loop — see the
+    equivalence test suite), with batches cut at every ``fitness_every`` and
+    ``checkpoint_events`` boundary so fitness samples and checkpoints land
+    on the per-event engine's event counts; periodic baselines advance the
+    window with vectorized pure replay between boundaries and score the
     same boundaries over the same window values as the per-event engine
     (equivalent to float precision).
 
@@ -183,33 +180,13 @@ def run_method(
     the end of the run.  With ``resume=True`` an existing checkpoint there
     is restored and the replay continues to ``max_events`` *total* events —
     exactly, as if never interrupted (see :mod:`repro.stream.checkpoint`):
-    window, factors, and final fitness are what the uninterrupted run
-    produces, and on the per-event engine so is the whole fitness series.
-    (On the batched engine the series may gain an extra sample at the
-    interruption point, because sampling happens at batch granularity.)
-    Timing statistics are cumulative across resumes: the checkpoint carries
-    the lifetime ``total_update_seconds`` / update count, so
-    ``mean_update_microseconds`` reflects the whole run, not just the events
-    replayed after the restore.
-
-    ``checkpoint_every`` is a deprecated alias of ``fitness_every`` (it
-    never controlled on-disk checkpoints, only the fitness cadence).
+    window, factors, final fitness and the whole fitness series are what
+    the uninterrupted run produces.  Timing statistics are cumulative across
+    resumes: the checkpoint carries the lifetime ``total_update_seconds`` /
+    update count, so ``mean_update_microseconds`` reflects the whole run,
+    not just the events replayed after the restore.
     """
-    if checkpoint_every is not None:
-        warnings.warn(
-            "run_method(checkpoint_every=...) is deprecated; use "
-            "fitness_every (the fitness-sampling cadence) — real on-disk "
-            "checkpoints are controlled by checkpoint_dir/checkpoint_events",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        fitness_every = checkpoint_every
     kind = method_kind(method)
-    if (shards > 1 or staleness > 0) and not batched:
-        raise ConfigurationError(
-            "shards/staleness require batched=True — the sharded path "
-            "executes update_batch, which the per-event loop never calls"
-        )
     if checkpoint_events is not None and checkpoint_events <= 0:
         raise ConfigurationError(
             f"checkpoint_events must be positive, got {checkpoint_events}"
@@ -244,8 +221,6 @@ def run_method(
             seed=seed,
             sampling=sampling,
             backend=backend,
-            shards=shards,
-            staleness=staleness,
         )
         # The kernel backend is an execution detail: resuming a run on a
         # different backend is explicitly supported, so it is excluded from
@@ -291,8 +266,6 @@ def run_method(
                     seed=seed,
                     sampling=sampling,
                     backend=backend,
-                    shards=shards,
-                    staleness=staleness,
                 ),
             )
         else:
@@ -334,22 +307,29 @@ def run_method(
     remaining = max(max_events - n_events, 0)
     if batched and kind == "continuous":
         next_fitness = (n_events // fitness_every + 1) * fitness_every
-        for batch in processor.iter_batches(max_events=remaining):
-            timer.start()
-            model.update_batch(batch)
-            timer.stop()
-            n_events += batch.n_events
-            if n_events >= next_fitness:
-                checkpoint_times.append(batch.end_time)
+        while n_events < max_events:
+            # Cut the drain at the next cadence boundary so samples and
+            # saves land on the per-event engine's exact event counts.
+            stop = min(
+                max_events,
+                next_fitness,
+                max_events if next_save is None else next_save,
+            )
+            for batch in processor.iter_batches(max_events=stop - n_events):
+                timer.start()
+                model.update_batch(batch)
+                timer.stop()
+                n_events += batch.n_events
+                last_time = batch.end_time
+            if n_events == next_fitness:
+                checkpoint_times.append(last_time)
                 fitness_series.append(model.fitness())
-                next_fitness = (
-                    n_events // fitness_every + 1
-                ) * fitness_every
-            if next_save is not None and n_events >= next_save:
+                next_fitness += fitness_every
+            if n_events == next_save:
                 save_state()
-                next_save = (
-                    n_events // checkpoint_events + 1
-                ) * checkpoint_events
+                next_save += checkpoint_events
+            if n_events < stop:
+                break  # stream exhausted
     elif kind == "continuous":
         for event, delta in processor.events(max_events=remaining):
             n_events += 1
@@ -504,8 +484,6 @@ def run_experiment(
             batched=settings.batched,
             sampling=settings.sampling,
             backend=settings.backend,
-            shards=settings.shards,
-            staleness=settings.staleness,
             checkpoint_events=settings.checkpoint_events,
             # Keep run checkpoints at <checkpoint_dir>/<method>, the
             # sequential layout, so runs interoperate across n_workers.

@@ -46,15 +46,6 @@ class StreamConfig:
         honours ``repro serve --backend`` / ``REPRO_KERNEL_BACKEND`` and
         otherwise auto-detects; an execution detail (checkpoints restore
         across backends), recorded per stream in telemetry.
-    shards, staleness:
-        Sharded update path knobs (see :mod:`repro.shard`): shard count and
-        batches between Gram synchronizations.  ``None`` — the default —
-        defers to the process-wide defaults set by ``repro serve --shards``
-        / ``--staleness`` (or their environment variables); the resolved
-        values are pinned into the model's
-        :class:`~repro.core.base.SNSConfig` when the stream starts, so a
-        checkpointed stream keeps its mode across restarts regardless of
-        the server's current defaults.
     als_iterations:
         ALS sweeps used to initialise the factors when the stream starts.
     detector_warmup:
@@ -74,8 +65,6 @@ class StreamConfig:
     nonnegative: bool = False
     sampling: str = "vectorized"
     backend: str = "auto"
-    shards: int | None = None
-    staleness: int | None = None
     seed: int = 0
     als_iterations: int = 10
     detector_warmup: int = 30
@@ -106,14 +95,6 @@ class StreamConfig:
             raise ConfigurationError(
                 f"backend must be a backend name or 'auto', got {self.backend!r}"
             )
-        if self.shards is not None and self.shards < 1:
-            raise ConfigurationError(
-                f"shards must be >= 1, got {self.shards}"
-            )
-        if self.staleness is not None and self.staleness < 0:
-            raise ConfigurationError(
-                f"staleness must be >= 0, got {self.staleness}"
-            )
         if self.als_iterations <= 0:
             raise ConfigurationError(
                 f"als_iterations must be positive, got {self.als_iterations}"
@@ -135,8 +116,19 @@ class StreamConfig:
 
         Unknown keys raise :class:`ConfigurationError` rather than being
         silently dropped — a typoed hyper-parameter must not produce a
-        stream with defaults the caller never asked for.
+        stream with defaults the caller never asked for.  The removed
+        sharded-path knobs are the one exception: older manifests and
+        clients send ``shards``/``staleness``, which are dropped when they
+        name the exact path (unset, ``1`` and ``0``) and rejected otherwise.
         """
+        payload = dict(payload)
+        if payload.pop("shards", None) not in (None, 1) or payload.pop(
+            "staleness", None
+        ) not in (None, 0):
+            raise ConfigurationError(
+                "the sharded update path was removed; shards/staleness may "
+                "only carry their exact-path values (1 and 0)"
+            )
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
@@ -145,7 +137,7 @@ class StreamConfig:
                 f"{sorted(known)}"
             )
         try:
-            return cls(**dict(payload))
+            return cls(**payload)
         except TypeError as error:
             raise ConfigurationError(
                 f"invalid stream config: {error}"

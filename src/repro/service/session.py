@@ -56,7 +56,6 @@ from repro.exceptions import (
 )
 from repro.service.config import StreamConfig
 from repro.service.telemetry import StreamTelemetry
-from repro.shard.defaults import resolve_shards, resolve_staleness
 from repro.stream.checkpoint import (
     is_checkpoint,
     restore_run,
@@ -79,7 +78,7 @@ PHASE_LIVE = "live"
 def _write_json_atomic(path: Path, payload: dict[str, Any]) -> None:
     """Write JSON via a temp file + rename so readers never see a torn file."""
     temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    temp.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    temp.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     temp.replace(path)
 
 
@@ -122,10 +121,6 @@ class StreamSession:
         )
 
     def _sns_config(self) -> SNSConfig:
-        # Sharding knobs resolve at model-construction time (explicit
-        # per-stream value → `repro serve --shards/--staleness` process
-        # default → environment → exact path) and are pinned into the
-        # SNSConfig, so checkpoints carry the stream's actual mode.
         return SNSConfig(
             rank=self.config.rank,
             theta=self.config.theta,
@@ -135,8 +130,6 @@ class StreamSession:
             seed=self.config.seed,
             sampling=self.config.sampling,
             backend=self.config.backend,
-            shards=resolve_shards(self.config.shards),
-            staleness=resolve_staleness(self.config.staleness),
         )
 
     # ------------------------------------------------------------------
@@ -410,8 +403,6 @@ class StreamSession:
                     "events_applied": processor.n_events_emitted,
                     "n_updates": self._model.n_updates,
                     "kernel_backend": self._model.kernel_backend,
-                    "shards": self._model.config.shards,
-                    "staleness": self._model.config.staleness,
                 }
             )
         self.telemetry.record_query(time.perf_counter() - started)
@@ -422,10 +413,6 @@ class StreamSession:
         payload = self.telemetry.to_dict()
         payload["kernel_backend"] = (
             self._model.kernel_backend if self.is_live else None
-        )
-        payload["shards"] = self._model.config.shards if self.is_live else None
-        payload["staleness"] = (
-            self._model.config.staleness if self.is_live else None
         )
         return payload
 

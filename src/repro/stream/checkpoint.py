@@ -323,7 +323,7 @@ def _atomic_write_directory(
             np.savez(handle, **arrays)
         _write_stage(path, "arrays")
         (temp_dir / MANIFEST_FILENAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True)
+            json.dumps(manifest, sort_keys=True, separators=(",", ":"))
         )
         _write_stage(path, "manifest")
         if path.exists():
@@ -620,7 +620,12 @@ def restore_model(
     from repro.core.registry import create_algorithm
 
     arrays = checkpoint.arrays
-    config = SNSConfig(**model_manifest["config"])
+    # Keys SNSConfig no longer has (older checkpoints' sharded-path knobs)
+    # are left to load_state, which validates the full saved config.
+    fields = {field.name for field in dataclasses.fields(SNSConfig)}
+    config = SNSConfig(
+        **{k: v for k, v in model_manifest["config"].items() if k in fields}
+    )
     model = create_algorithm(model_manifest["name"], config)
     n_factors = int(model_manifest["n_factors"])
     aux: dict[str, Any] = {}

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import pytest
+
 from analysis_helpers import lint, rule_ids
-from repro.analysis.checkers.determinism import DeterminismChecker
+from repro.analysis.checkers.determinism import STATE_SCOPES, DeterminismChecker
 
 
 def check(sources):
@@ -145,16 +147,15 @@ class TestWallClock:
         assert result.clean
 
 
-class TestShardScope:
-    """``repro.shard`` is a state-affecting package: plan construction and
-    shard execution feed factor state, so the scoped determinism rules
-    (wall clocks, set iteration) apply there exactly as in ``repro.core``;
-    randomness must come from injected ``default_rng`` instances."""
+class TestStateScopes:
+    """The scoped rules (wall clocks, set iteration) hold in every package
+    whose code feeds numeric or replayed state, and only there."""
 
-    def test_wall_clock_in_shard_package_is_flagged(self):
+    @pytest.mark.parametrize("scope", STATE_SCOPES)
+    def test_wall_clock_is_flagged_in_every_state_scope(self, scope):
         result = check(
             {
-                "repro.shard.executor": """
+                f"{scope}.x": """
                 import time
                 stamp = time.time()
                 """
@@ -162,10 +163,11 @@ class TestShardScope:
         )
         assert rule_ids(result) == ["wall-clock"]
 
-    def test_set_iteration_in_shard_package_is_flagged(self):
+    @pytest.mark.parametrize("scope", STATE_SCOPES)
+    def test_set_iteration_is_flagged_in_every_state_scope(self, scope):
         result = check(
             {
-                "repro.shard.plan": """
+                f"{scope}.x": """
                 def owners(keys):
                     for key in set(keys):
                         yield key
@@ -174,31 +176,15 @@ class TestShardScope:
         )
         assert rule_ids(result) == ["set-iteration"]
 
-    def test_global_rng_in_shard_package_is_flagged(self):
+    def test_sibling_package_sharing_a_prefix_is_out_of_scope(self):
+        # Scope matching is by package, not by string prefix.
         result = check(
             {
-                "repro.shard.executor": """
-                import numpy as np
-                jitter = np.random.rand(3)
-                """
-            }
-        )
-        assert rule_ids(result) == ["global-random"]
-
-    def test_injected_stateless_rngs_are_fine(self):
-        # The executor's sanctioned pattern: a per-(batch, shard) generator
-        # seeded from explicit counters, plus dict-ordered plan loops.
-        result = check(
-            {
-                "repro.shard.executor": """
-                import numpy as np
-
-                def shard_rng(seed, batch, shard):
-                    return np.random.default_rng((seed, batch, shard))
-
-                def drain(owners):
-                    for key in owners:  # dict: insertion-ordered
-                        yield owners[key]
+                "repro.core_extras.x": """
+                import time
+                stamp = time.time()
+                for key in set([1, 2]):
+                    pass
                 """
             }
         )

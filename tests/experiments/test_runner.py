@@ -51,7 +51,7 @@ class TestRunMethod:
         result = run_method(
             stream, window_config, "sns_vec_plus",
             initial_factors=initial, rank=5,
-            max_events=300, checkpoint_every=100,
+            max_events=300, fitness_every=100,
         )
         assert isinstance(result, MethodResult)
         assert result.kind == "continuous"
@@ -65,7 +65,7 @@ class TestRunMethod:
     def test_batched_continuous_matches_sequential(self, runner_setup):
         stream, window_config, initial, _ = runner_setup
         kwargs = dict(
-            initial_factors=initial, rank=5, max_events=300, checkpoint_every=100
+            initial_factors=initial, rank=5, max_events=300, fitness_every=100
         )
         sequential = run_method(stream, window_config, "sns_vec_plus", **kwargs)
         batched = run_method(
@@ -87,7 +87,7 @@ class TestRunMethod:
         result = run_method(
             stream, window_config, "als",
             initial_factors=initial, rank=5,
-            max_events=300, checkpoint_every=100, batched=True,
+            max_events=300, fitness_every=100, batched=True,
         )
         assert result.kind == "periodic"
         assert result.n_events == 300
@@ -102,7 +102,7 @@ class TestRunMethod:
         result = run_method(
             stream, window_config, "als",
             initial_factors=initial, rank=5,
-            max_events=600, checkpoint_every=100,
+            max_events=600, fitness_every=100,
         )
         assert result.kind == "periodic"
         assert result.n_updates >= 1  # at least one boundary crossed
@@ -114,7 +114,7 @@ class TestRunMethod:
         result = run_method(
             stream, window_config, "sns_vec",
             initial_factors=initial, rank=5,
-            max_events=10, checkpoint_every=50,
+            max_events=10, fitness_every=50,
         )
         assert len(result.fitness_series) == 1  # falls back to final fitness
 
@@ -213,24 +213,6 @@ class TestBaselineBoundarySemantics:
         )
 
 
-class TestFitnessEveryRename:
-    def test_checkpoint_every_alias_warns_and_applies(self, runner_setup):
-        stream, window_config, initial, _ = runner_setup
-        with pytest.warns(DeprecationWarning, match="fitness_every"):
-            aliased = run_method(
-                stream, window_config, "sns_vec",
-                initial_factors=initial, rank=5,
-                max_events=200, checkpoint_every=50,
-            )
-        renamed = run_method(
-            stream, window_config, "sns_vec",
-            initial_factors=initial, rank=5,
-            max_events=200, fitness_every=50,
-        )
-        assert aliased.fitness_series == renamed.fitness_series
-        assert aliased.checkpoint_times == renamed.checkpoint_times
-
-
 class TestCheckpointResume:
     @pytest.mark.parametrize("batched", [False, True], ids=["per_event", "batched"])
     def test_resume_reproduces_uninterrupted_run(
@@ -251,14 +233,9 @@ class TestCheckpointResume:
         )
         assert resumed.n_events == reference.n_events == 300
         assert resumed.final_fitness == reference.final_fitness
-        if not batched:
-            # Per-event fitness sampling is on exact event counts, so the
-            # whole series matches; the batched engine may add one sample at
-            # the interruption point (batch-granularity sampling).
-            assert resumed.fitness_series == reference.fitness_series
-            assert resumed.checkpoint_times == reference.checkpoint_times
-        else:
-            assert resumed.fitness_series[-1] == reference.fitness_series[-1]
+        # Both engines sample fitness on exact event counts.
+        assert resumed.fitness_series == reference.fitness_series
+        assert resumed.checkpoint_times == reference.checkpoint_times
 
     def test_completed_run_resumes_to_larger_horizon(self, runner_setup, tmp_path):
         stream, window_config, initial, _ = runner_setup
@@ -375,7 +352,7 @@ class TestExperimentResult:
             methods[name] = run_method(
                 stream, window_config, name,
                 initial_factors=initial, rank=5, theta=5,
-                max_events=500, checkpoint_every=100,
+                max_events=500, fitness_every=100,
             )
         return ExperimentResult(
             dataset="unit_test",

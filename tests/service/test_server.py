@@ -88,6 +88,30 @@ class TestOps:
 
         asyncio.run(scenario())
 
+    def test_create_stream_with_shard_knobs(self):
+        # Clients written against the sharded path may still send its knobs:
+        # exact-path values are accepted, anything else is refused.
+        async def scenario():
+            server = StreamingServer(ServiceManager(ServiceConfig()))
+            responses = {}
+            for stream_id, shards in (("exact", 1), ("sharded", 4)):
+                config = {**tiny_config().to_dict(), "shards": shards, "staleness": 0}
+                responses[stream_id] = await server._dispatch_safely(
+                    json.dumps(
+                        {"op": "create_stream", "stream": stream_id, "config": config}
+                    ).encode() + b"\n"
+                )
+            streams = (await dispatch(server, "streams"))["streams"]
+            await server.stop()
+            return responses, streams
+
+        responses, streams = asyncio.run(scenario())
+        assert responses["exact"]["ok"], responses["exact"]
+        rejected = responses["sharded"]
+        assert not rejected["ok"] and rejected["error"] == "bad_request"
+        assert "sharded update path" in rejected["message"]
+        assert [row["stream"] for row in streams] == ["exact"]
+
     def test_full_lifecycle_queries(self):
         async def scenario():
             server = StreamingServer(ServiceManager(ServiceConfig()))

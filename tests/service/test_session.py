@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.exceptions import CheckpointError, ConfigurationError, ServiceError
 from repro.service.config import StreamConfig
 from repro.service.session import StreamSession
+from repro.stream.checkpoint import MANIFEST_FILENAME
 from repro.stream.events import StreamRecord
 
 from helpers import live_chunks, make_records, tiny_config, warm_records
@@ -30,6 +33,20 @@ class TestConfig:
         payload = stream_config.to_dict()
         payload["raank"] = 5
         with pytest.raises(ConfigurationError, match="raank"):
+            StreamConfig.from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "knobs", [{"shards": None, "staleness": None}, {"shards": 1, "staleness": 0}]
+    )
+    def test_exact_path_shard_knobs_are_dropped(self, stream_config, knobs):
+        # Older manifests and clients carry the removed sharded-path knobs.
+        payload = {**stream_config.to_dict(), **knobs}
+        assert StreamConfig.from_dict(payload) == stream_config
+
+    @pytest.mark.parametrize("knobs", [{"shards": 4}, {"staleness": 2}])
+    def test_sharded_knobs_are_rejected(self, stream_config, knobs):
+        payload = {**stream_config.to_dict(), **knobs}
+        with pytest.raises(ConfigurationError, match="sharded update path"):
             StreamConfig.from_dict(payload)
 
     @pytest.mark.parametrize(
@@ -208,6 +225,51 @@ class TestDurability:
         ):
             assert np.array_equal(np.array(fa), np.array(fb))
         assert restored._detector.state_dict() == session._detector.state_dict()
+
+    @pytest.mark.parametrize("name", ["meta.json", f"state/{MANIFEST_FILENAME}"])
+    def test_saved_json_is_compact_and_sorted(self, tmp_path, name):
+        # Both files a live stream saves skip indentation: the detector
+        # board in the manifest is a long list of small records.
+        live_session(n_chunks=2).save(tmp_path / "s")
+        text = (tmp_path / "s" / name).read_text()
+        assert text == json.dumps(
+            json.loads(text), sort_keys=True, separators=(",", ":")
+        )
+
+    @staticmethod
+    def _older_stream_dir(directory, shards):
+        """A saved live stream rewritten to the format that still carried
+        the sharded-path knobs: ``null`` in the stream config, the resolved
+        exact-path values in the model config."""
+        session = live_session(n_chunks=2)
+        session.save(directory)
+        meta_path = directory / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["config"].update(shards=shards, staleness=None)
+        meta_path.write_text(json.dumps(meta, indent=2))
+        manifest_path = directory / "state" / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["model"]["config"].update(shards=1, staleness=0)
+        manifest_path.write_text(json.dumps(manifest, indent=2))
+        return session
+
+    def test_older_stream_manifest_restores_and_continues(self, tmp_path):
+        session = self._older_stream_dir(tmp_path / "s", shards=None)
+        restored = StreamSession.load(tmp_path / "s")
+        assert restored.config == session.config
+        extra = live_chunks(3, seed=2)[2]
+        session.ingest(extra)
+        restored.ingest(extra)
+        for fa, fb in zip(
+            session.factors()["factors"], restored.factors()["factors"]
+        ):
+            assert np.array_equal(np.array(fa), np.array(fb))
+        assert restored._detector.state_dict() == session._detector.state_dict()
+
+    def test_older_sharded_stream_manifest_is_rejected(self, tmp_path):
+        self._older_stream_dir(tmp_path / "s", shards=4)
+        with pytest.raises(ConfigurationError, match="sharded update path"):
+            StreamSession.load(tmp_path / "s")
 
     def test_restored_telemetry_includes_the_checkpoint(self, tmp_path):
         session = live_session()

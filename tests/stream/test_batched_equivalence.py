@@ -23,8 +23,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.als.als import decompose
 from repro.core.base import SNSConfig
 from repro.core.registry import ALGORITHMS, create_algorithm
+from repro.data.generators import generate_synthetic_stream
+from repro.experiments.runner import run_method
 from repro.stream.events import StreamRecord
 from repro.stream.processor import ContinuousStreamProcessor
 from repro.stream.stream import MultiAspectStream
@@ -184,6 +187,72 @@ def test_models_reach_identical_factors(name, case):
         assert np.allclose(
             factor_batched, factor_sequential, atol=1e-8, rtol=0.0, equal_nan=True
         )
+
+
+@pytest.fixture(scope="module")
+def cadence_setup():
+    """A 2,385-event stream whose periods hold ~300 events each, so uncut
+    batches would straddle several cadence boundaries."""
+    stream = generate_synthetic_stream(
+        mode_sizes=(6, 5), rank=3, n_records=600,
+        period=20.0, records_per_period=60.0, seed=21,
+    )
+    config = WindowConfig(mode_sizes=(6, 5), window_length=4, period=20.0)
+    processor = ContinuousStreamProcessor(stream, config)
+    initial = decompose(processor.window.tensor, rank=3, n_iterations=5, seed=0)
+    return stream, config, initial.decomposition
+
+
+#: (fitness_every, checkpoint_events, max_events, n_samples, saves).  The
+#: last save of each run is the end-of-run one.
+CADENCES = {
+    "aligned": (150, 400, 1200, 8, [400, 800, 1200, 1200]),
+    "saves_finer_than_samples": (
+        300, 125, 1000, 3, [125, 250, 375, 500, 625, 750, 875, 1000, 1000],
+    ),
+    "stream_exhausted": (250, 700, 10**6, 9, [700, 1400, 2100, 2385]),
+}
+
+
+@pytest.mark.parametrize("cadence", sorted(CADENCES))
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_run_method_cadences_match_per_event(
+    name, cadence, cadence_setup, tmp_path, monkeypatch
+):
+    """``run_method``'s batched loop cuts its batches at every
+    ``fitness_every`` and ``checkpoint_events`` boundary, so it samples
+    fitness and saves checkpoints at the per-event loop's event counts, on
+    the same values — whichever cadence is finer, and also when the stream
+    runs out before ``max_events``."""
+    stream, config, initial = cadence_setup
+    fitness_every, checkpoint_events, max_events, n_samples, expected_saves = (
+        CADENCES[cadence]
+    )
+    saved_at: list[int] = []
+    save_checkpoint = ContinuousStreamProcessor.save_checkpoint
+
+    def recording_save(self, path, **kwargs):
+        saved_at.append(kwargs["extra"]["n_events"])
+        return save_checkpoint(self, path, **kwargs)
+
+    monkeypatch.setattr(ContinuousStreamProcessor, "save_checkpoint", recording_save)
+    results = {}
+    saves = {}
+    for batched in (False, True):
+        saved_at.clear()
+        results[batched] = run_method(
+            stream, config, name, initial, rank=3, theta=3,
+            max_events=max_events, fitness_every=fitness_every, batched=batched,
+            checkpoint_dir=tmp_path / str(batched),
+            checkpoint_events=checkpoint_events,
+        )
+        saves[batched] = list(saved_at)
+    per_event, batched = results[False], results[True]
+    assert len(per_event.fitness_series) == n_samples
+    assert batched.checkpoint_times == per_event.checkpoint_times
+    assert batched.fitness_series == per_event.fitness_series
+    assert batched.final_fitness == per_event.final_fitness
+    assert saves[True] == saves[False] == expected_saves
 
 
 @pytest.mark.parametrize("sampling", ["legacy", "vectorized"])

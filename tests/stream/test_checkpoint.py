@@ -16,7 +16,7 @@ import pytest
 
 from repro.als.als import decompose
 from repro.core.base import SNSConfig
-from repro.core.registry import create_algorithm
+from repro.core.registry import ALGORITHMS, create_algorithm
 from repro.exceptions import ConfigurationError
 from repro.stream.checkpoint import (
     ARRAYS_FILENAME,
@@ -154,6 +154,21 @@ class TestRoundTrip:
         restored, _, _ = restore_run(target)
         assert restored.n_events_emitted == 20
 
+    def test_manifest_is_compact_sorted_json(
+        self, small_processor, small_initial_factors, tmp_path
+    ):
+        # No indentation and no padding: a model manifest is dominated by
+        # its arrays, which indentation would put one number to a line.
+        model = create_algorithm("sns_vec", SNSConfig(rank=4, theta=5, seed=0))
+        model.initialize(small_processor.window, small_initial_factors)
+        small_processor.run_batched(model=model, max_events=20)
+        path = small_processor.save_checkpoint(tmp_path / "ckpt", model=model)
+        text = (path / MANIFEST_FILENAME).read_text()
+        assert text == json.dumps(
+            json.loads(text), sort_keys=True, separators=(",", ":")
+        )
+        assert "\n" not in text
+
     def test_checkpoint_is_self_contained(self, small_processor, tmp_path):
         # Restoring must not need the original stream object: the pending
         # records travel inside the checkpoint.
@@ -267,6 +282,52 @@ class TestModelStateProtocol:
         np.testing.assert_array_equal(restored.weights, model.weights)
         # λ folds into the decomposition; fitness must match exactly.
         assert restored.fitness() == model.fitness()
+
+
+class TestRemovedShardKnobs:
+    """Checkpoints written while ``SNSConfig`` still had the sharded-path
+    knobs carry ``shards``/``staleness`` in their model config; the
+    exact-path values restore, any other value is refused."""
+
+    @staticmethod
+    def _older_checkpoint(
+        processor, factors, tmp_path, shards, staleness, variant="sns_rnd_plus"
+    ):
+        model = create_algorithm(variant, SNSConfig(rank=4, theta=5, seed=0))
+        model.initialize(processor.window, factors)
+        processor.run_batched(model=model, max_events=60)
+        path = processor.save_checkpoint(tmp_path / "ckpt", model=model)
+        manifest_path = path / MANIFEST_FILENAME
+        manifest = json.loads(manifest_path.read_text())
+        manifest["model"]["config"].update(shards=shards, staleness=staleness)
+        manifest_path.write_text(json.dumps(manifest))
+        return model, path
+
+    @pytest.mark.parametrize("variant", sorted(ALGORITHMS))
+    def test_exact_path_values_restore_bit_identically(
+        self, small_processor, small_initial_factors, tmp_path, variant
+    ):
+        model, path = self._older_checkpoint(
+            small_processor, small_initial_factors, tmp_path,
+            shards=1, staleness=0, variant=variant,
+        )
+        restored_processor, restored, _ = restore_run(path)
+        assert restored.fitness() == model.fitness()
+        small_processor.run_batched(model=model, max_events=60)
+        restored_processor.run_batched(model=restored, max_events=60)
+        assert restored.fitness() == model.fitness()
+        for mine, theirs in zip(model.factors, restored.factors):
+            np.testing.assert_array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("shards, staleness", [(4, 0), (1, 2)])
+    def test_sharded_values_are_rejected(
+        self, small_processor, small_initial_factors, tmp_path, shards, staleness
+    ):
+        _, path = self._older_checkpoint(
+            small_processor, small_initial_factors, tmp_path, shards, staleness
+        )
+        with pytest.raises(ConfigurationError, match="sharded update path"):
+            restore_run(path)
 
 
 class TestUnifiedEventCounter:

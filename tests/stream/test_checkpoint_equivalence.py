@@ -12,11 +12,17 @@ N-event run:
   enumeration — and the model's RNG stream bit-for-bit),
 * the lifetime counters (`n_events_emitted`, `n_updates`) exactly.
 
+The same holds for the streaming service's drain shape — whole
+time-windowed batches, checkpointed between batches — on every kernel
+backend.
+
 This is the acceptance gate of the checkpoint subsystem; CI runs it as the
 resume-equivalence smoke step.
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import pytest
@@ -177,4 +183,90 @@ def test_resume_crossing_engines_keeps_window_exact(
         restored.run_batched(max_events=N_EVENTS - N_EVENTS // 2)
     assert dict(restored.window.tensor.items()) == dict(
         reference.window.tensor.items()
+    )
+
+
+#: Batch window of the whole-batch drains below: wide enough that most
+#: batches group several events (arrivals, shifts and expiries).
+BATCH_WINDOW = 2.0
+
+#: Whole batches replayed by the whole-batch resume test.
+N_BATCHES = 30
+
+
+def advance_batches(processor, model, n_batches: int) -> int:
+    """Apply the next ``n_batches`` whole batches (the service drain shape)."""
+    applied = 0
+    batches = processor.iter_batches(batch_window=BATCH_WINDOW)
+    try:
+        for batch in batches:
+            model.update_batch(batch)
+            applied += 1
+            if applied >= n_batches:
+                break
+    finally:
+        batches.close()  # release the processor's single-drain guard
+    return applied
+
+
+@pytest.mark.parametrize("backend", ["numpy", "numba"])
+@pytest.mark.parametrize("variant", sorted(ALGORITHMS))
+def test_whole_batch_resume_matches_uninterrupted_run(
+    equivalence_setup, tmp_path, variant, backend
+):
+    """The streaming service applies each chunk as whole time-windowed
+    batches and checkpoints between them; resuming at such a boundary must
+    continue exactly, on every kernel backend.  ``numba`` degrades to the
+    numpy reference when numba is not importable — resolution happens
+    inside the model, on restore too — so the case runs on any machine."""
+    stream, config, initial = equivalence_setup
+
+    def build():
+        processor = ContinuousStreamProcessor(stream, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the numba fallback warns
+            model = create_algorithm(
+                variant,
+                SNSConfig(rank=RANK, theta=5, eta=1000.0, seed=0, backend=backend),
+            )
+        model.initialize(processor.window, initial)
+        return processor, model
+
+    reference_processor, reference_model = build()
+    assert advance_batches(reference_processor, reference_model, N_BATCHES) == (
+        N_BATCHES
+    )
+
+    half = N_BATCHES // 2 - 1
+    paused_processor, paused_model = build()
+    advance_batches(paused_processor, paused_model, half)
+    paused_processor.save_checkpoint(tmp_path / "ckpt", model=paused_model)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        restored_processor, restored_model, _ = restore_run(tmp_path / "ckpt")
+    assert restored_model is not None
+    assert restored_model.kernel_backend == reference_model.kernel_backend
+    advance_batches(restored_processor, restored_model, N_BATCHES - half)
+
+    assert dict(restored_processor.window.tensor.items()) == dict(
+        reference_processor.window.tensor.items()
+    )
+    assert (
+        restored_processor.n_events_emitted
+        == reference_processor.n_events_emitted
+    )
+    assert restored_model.n_updates == reference_model.n_updates
+    scale = max(
+        1.0, max(float(np.max(np.abs(f))) for f in reference_model.factors)
+    )
+    for mode, (restored, reference) in enumerate(
+        zip(restored_model.factors, reference_model.factors)
+    ):
+        deviation = float(np.max(np.abs(restored - reference)))
+        assert deviation <= FACTOR_TOLERANCE * scale, (
+            f"factor {mode} deviates by {deviation:.3e} after a whole-batch "
+            f"resume (bound {FACTOR_TOLERANCE * scale:.3e})"
+        )
+    assert restored_model.fitness() == pytest.approx(
+        reference_model.fitness(), rel=1e-12, abs=1e-12
     )
